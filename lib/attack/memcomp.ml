@@ -163,7 +163,9 @@ let run ?(seed = 7) ?(secret_len = 16) ?(trials = 1) ?(tries = 8)
   if tries < 1 then invalid_arg "Memcomp.run: tries";
   if measurements < 1 then invalid_arg "Memcomp.run: measurements";
   let k = String.length alphabet in
-  let probes = ref 0 in
+  (* Probes run on the pool's domains: the count must be atomic, or
+     concurrent increments get lost at [jobs] > 1. *)
+  let probes = Atomic.make 0 in
   let est = Leak_audit.Estimator.create ~buckets:2 ~delta_range:64 () in
   let per_byte_correct = ref 0 in
   let positions = ref 0 in
@@ -182,7 +184,7 @@ let run ?(seed = 7) ?(secret_len = 16) ?(trials = 1) ?(tries = 8)
     let score_candidate ~position ~prefix c =
       let total = ref 0. in
       for pad = 0 to tries - 1 do
-        incr probes;
+        Atomic.incr probes;
         Obs.Metrics.incr m_probes;
         let guess = prefix ^ String.make 1 alphabet.[c] in
         let rendered = Page.render page ~guess ~pad in
@@ -313,7 +315,7 @@ let run ?(seed = 7) ?(secret_len = 16) ?(trials = 1) ?(tries = 8)
       recovered = !first_recovered;
       per_byte_correct = !per_byte_correct;
       positions = !positions;
-      probes = !probes;
+      probes = Atomic.get probes;
       per_byte_rate =
         float_of_int !per_byte_correct /. float_of_int !positions;
       chained_rate = !chained_sum /. float_of_int trials;

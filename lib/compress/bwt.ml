@@ -77,7 +77,8 @@ module Intsort = Zipchannel_buf.Intsort
 
 (* Arena int-slot assignments for the whole bzip2 block pipeline live in
    the 0..8 range; see the slot table in DESIGN.md §12.  This module owns
-   slots 3 (perm, shared with Block_sort's main sort output) and 4..6. *)
+   slots 3 (perm, shared with Block_sort's main sort output) and 4..6;
+   [sort_rotations_sub] below also borrows slot 0. *)
 let slot_perm = 3
 let slot_rank = 4
 let slot_tmp = 5
@@ -148,19 +149,36 @@ let sort_rotations_work block =
    round re-orders by the k-shifted previous order and a stable counting
    sort on the rank — O(n log n), no comparator, no per-element boxing.
    Produces the same permutation as the reference (ties between identical
-   rotations broken by start index). *)
-let sort_rotations block =
-  let n = Bytes.length block in
+   rotations broken by start index).  This is the production block sorter
+   of [Bzip2.compress]; with [arena] it runs in int slots 3..6 (perm, rank
+   and their next-round copies, as [sort_rotations_work_sub] uses them)
+   plus slot 0 for the counting-sort table — [Block_sort]'s ftab, idle
+   while this sorter runs. *)
+let slot_next_perm = slot_tmp
+let slot_next_rank = slot_keys
+let slot_count = 0
+
+let sort_rotations_sub ?arena block ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length block then
+    invalid_arg "Bwt.sort_rotations_sub";
+  let n = len in
   if n = 0 then [||]
   else begin
-    let perm = Array.make n 0 in
-    let rank = Array.make n 0 in
-    let next_perm = Array.make n 0 in
-    let next_rank = Array.make n 0 in
-    let count = Array.make (max 256 n) 0 in
+    let ints slot n =
+      match arena with
+      | Some a -> Arena.ints a ~slot n
+      | None -> Array.make n 0
+    in
+    let perm = ints slot_perm n in
+    let rank = ints slot_rank n in
+    let next_perm = ints slot_next_perm n in
+    let next_rank = ints slot_next_rank n in
+    let count = ints slot_count (max 256 n) in
+    let byte i = Bytes.unsafe_get block (off + i) in
     (* Round 0: counting sort by first byte; dense byte classes. *)
+    Array.fill count 0 256 0;
     for i = 0 to n - 1 do
-      let c = Char.code (Bytes.unsafe_get block i) in
+      let c = Char.code (byte i) in
       count.(c) <- count.(c) + 1
     done;
     let acc = ref 0 in
@@ -170,16 +188,14 @@ let sort_rotations block =
       acc := !acc + v
     done;
     for i = 0 to n - 1 do
-      let c = Char.code (Bytes.unsafe_get block i) in
+      let c = Char.code (byte i) in
       perm.(count.(c)) <- i;
       count.(c) <- count.(c) + 1
     done;
     let classes = ref 1 in
     rank.(perm.(0)) <- 0;
     for i = 1 to n - 1 do
-      if
-        Bytes.unsafe_get block perm.(i) <> Bytes.unsafe_get block perm.(i - 1)
-      then incr classes;
+      if byte perm.(i) <> byte perm.(i - 1) then incr classes;
       rank.(perm.(i)) <- !classes - 1
     done;
     let k = ref 1 in
@@ -246,6 +262,9 @@ let sort_rotations block =
     end;
     perm
   end
+
+let sort_rotations block =
+  sort_rotations_sub block ~off:0 ~len:(Bytes.length block)
 
 let check_perm n perm =
   if Array.length perm <> n then invalid_arg "Bwt: permutation length";

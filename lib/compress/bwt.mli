@@ -9,7 +9,19 @@
 
 val sort_rotations : bytes -> int array
 (** Permutation [p] such that rotation starting at [p.(k)] is the k-th
-    smallest; ties between identical rotations are broken by start index. *)
+    smallest; ties between identical rotations are broken by start index.
+    Comparison-free (counting-sort prefix doubling), so it has no work
+    count: the production sorter behind [Bzip2.compress]. *)
+
+val sort_rotations_sub :
+  ?arena:Zipchannel_buf.Arena.t -> bytes -> off:int -> len:int -> int array
+(** {!sort_rotations} of [Bytes.sub block off len] without materializing
+    the slice.  With [arena], scratch tables and the returned permutation
+    live in the arena's int slots 0 and 3..6: the permutation is slot 3,
+    its physical length may exceed [len] (only the first [len] entries
+    are meaningful) and it is overwritten by the next sort using the same
+    arena.
+    @raise Invalid_argument if the slice is not inside [block]. *)
 
 val sort_rotations_work : bytes -> int array * int
 (** Also returns the number of rank comparisons performed — a

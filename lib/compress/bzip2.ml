@@ -50,55 +50,68 @@ let read_u32 r =
 
 let group_count ~n_syms = (n_syms + group_size - 1) / group_size
 
-let group_bounds ~n_syms g =
-  let lo = g * group_size in
-  (lo, min n_syms (lo + group_size) - 1)
-
 (* Train the tables: initial assignment is round-robin over contiguous
    chunks, then a few rounds of cheapest-table reassignment. *)
 let train_tables symbols ~n_syms =
+  let alphabet = Rle2.alphabet_size in
   let n_groups = n_groups_for n_syms in
   let groups = group_count ~n_syms in
   let selectors = Array.init groups (fun g -> g * n_groups / max 1 groups) in
   let lengths = Array.make n_groups [||] in
+  let freqs = Array.init n_groups (fun _ -> Array.make alphabet 0) in
+  (* One flat length table for all tables, packed per symbol as in bzip2:
+     table [t]'s length of [s] sits in bits [10t, 10t + 10) of
+     [packed.(s)], and bit [t] of [missing.(s)] is set when table [t] has
+     no code for [s].  A group's cost under every table is then one sum
+     over its symbols: at most 50 lengths of at most 15 bits each, under
+     1024, so no lane carries into the next, and 6 lanes fit in 60 bits. *)
+  let packed = Array.make alphabet 0 and missing = Array.make alphabet 0 in
   let refit () =
-    let freqs = Array.init n_groups (fun _ -> Array.make Rle2.alphabet_size 0) in
-    Array.iteri
-      (fun g table ->
-        let lo, hi = group_bounds ~n_syms g in
-        for k = lo to hi do
-          let s = symbols.(k) in
-          freqs.(table).(s) <- freqs.(table).(s) + 1
-        done)
-      selectors;
+    Array.iter (fun f -> Array.fill f 0 alphabet 0) freqs;
+    for g = 0 to groups - 1 do
+      let f = freqs.(selectors.(g)) in
+      for k = g * group_size to min n_syms ((g + 1) * group_size) - 1 do
+        let s = symbols.(k) in
+        f.(s) <- f.(s) + 1
+      done
+    done;
+    Array.fill packed 0 alphabet 0;
+    Array.fill missing 0 alphabet 0;
     Array.iteri
       (fun t f ->
         (* An unused table still needs a valid (dummy) code set. *)
         if Array.for_all (fun c -> c = 0) f then f.(Rle2.eob) <- 1;
-        lengths.(t) <- Huffman.lengths_of_freqs f)
+        let l = Huffman.lengths_of_freqs f in
+        lengths.(t) <- l;
+        for s = 0 to alphabet - 1 do
+          if l.(s) = 0 then missing.(s) <- missing.(s) lor (1 lsl t)
+          else packed.(s) <- packed.(s) lor (l.(s) lsl (10 * t))
+        done)
       freqs
   in
   refit ();
   for _ = 2 to refinement_iters do
-    (* Reassign each group to its cheapest table.  A symbol without a code
-       in some table makes that table infinitely expensive. *)
-    Array.iteri
-      (fun g _ ->
-        let lo, hi = group_bounds ~n_syms g in
-        let best = ref selectors.(g) and best_cost = ref max_int in
-        for t = 0 to n_groups - 1 do
-          let cost = ref 0 in
-          for k = lo to hi do
-            let l = lengths.(t).(symbols.(k)) in
-            if l = 0 then cost := max_int / 2 else cost := !cost + l
-          done;
-          if !cost < !best_cost then begin
-            best_cost := !cost;
-            best := t
-          end
-        done;
-        selectors.(g) <- !best)
-      selectors;
+    (* Reassign each group to its cheapest table, the first one on ties.
+       A table without a code for one of the group's symbols cannot take
+       it.  The group's current table always can (it was fitted to the
+       group), so some table is always eligible. *)
+    for g = 0 to groups - 1 do
+      let sum = ref 0 and miss = ref 0 in
+      for k = g * group_size to min n_syms ((g + 1) * group_size) - 1 do
+        let s = Array.unsafe_get symbols k in
+        sum := !sum + Array.unsafe_get packed s;
+        miss := !miss lor Array.unsafe_get missing s
+      done;
+      let best = ref selectors.(g) and best_cost = ref max_int in
+      for t = 0 to n_groups - 1 do
+        let cost = (!sum lsr (10 * t)) land 1023 in
+        if !miss land (1 lsl t) = 0 && cost < !best_cost then begin
+          best_cost := cost;
+          best := t
+        end
+      done;
+      selectors.(g) <- !best
+    done;
     refit ()
   done;
   (n_groups, selectors, lengths)
@@ -166,28 +179,30 @@ let write_block_body w ~primary ~len symbols ~n_syms =
 (* One post-RLE1 block, read in place from [data.(off .. off + len - 1)].
    All per-stage scratch lives in [arena], which the caller owns for the
    duration of the call; the chain RLE1 slice -> BWT -> MTF -> RLE2 runs
-   with no intermediate [Bytes.sub] or copies. *)
-let compress_block w ~budget_factor ~block_size ~index ~arena data ~off ~len =
+   with no intermediate [Bytes.sub] or copies.  [sort] orders the block's
+   rotations and returns whatever it reports about doing so. *)
+let compress_block w ~sort ~index ~arena data ~off ~len =
   Obs.with_span "bzip2.block"
     ~attrs:[ ("index", string_of_int index); ("bytes", string_of_int len) ]
   @@ fun () ->
   Obs.Metrics.incr m_blocks;
   Obs.Metrics.observe h_block_bytes len;
-  let full_block = len = block_size in
-  let perm, path =
-    Block_sort.block_sort_sub ~arena ~budget_factor ~full_block data ~off ~len
-  in
+  let perm, report = sort ~arena data ~off ~len in
   let last, primary = Bwt.transform_with_sub ~arena ~perm data ~off ~len in
   let mtf = Mtf.encode_sub ~arena last ~off:0 ~len in
   let symbols, n_syms = Rle2.encode_sub ~arena mtf ~len in
   write_block_body w ~primary ~len symbols ~n_syms;
-  { index; length = len; path }
+  report
 
-let compress_with_info ?(block_size = default_block_size)
-    ?(budget_factor = Block_sort.default_budget_factor) ?(jobs = 1) input =
+let check_block_size block_size =
   if block_size < 16 then invalid_arg "Bzip2.compress: block_size too small";
   if block_size > max_block_size then
-    invalid_arg "Bzip2.compress: block_size too large";
+    invalid_arg "Bzip2.compress: block_size too large"
+
+(* The stream around the blocks, and the per-block [sort] reports in
+   block order. *)
+let compress_blocks ~sort ~block_size ~jobs input =
+  check_block_size block_size;
   Obs.with_span "bzip2.compress"
     ~attrs:[ ("bytes", string_of_int (Bytes.length input)) ]
   @@ fun () ->
@@ -208,39 +223,55 @@ let compress_with_info ?(block_size = default_block_size)
         let off = index * block_size in
         let len = min block_size (n - off) in
         let bw = Bitio.Writer.create () in
-        let info =
+        let report =
           Zipchannel_buf.Arena.with_arena (fun arena ->
-              compress_block bw ~budget_factor ~block_size ~index ~arena data
-                ~off ~len)
+              compress_block bw ~sort ~index ~arena data ~off ~len)
         in
-        (bw, info))
+        (bw, report))
       (Array.init n_blocks (fun i -> i))
   in
-  let infos =
-    Array.fold_left
-      (fun acc (bw, info) ->
-        Bitio.Writer.append w bw;
-        info :: acc)
-      [] parts
-  in
+  Array.iter (fun (bw, _) -> Bitio.Writer.append w bw) parts;
   Bitio.Writer.add_bits_msb w ~value:end_marker ~count:8;
   let out = Bitio.Writer.to_bytes w in
   Obs.Metrics.add m_bytes_in (Bytes.length input);
   Obs.Metrics.add m_bytes_out (Bytes.length out);
-  (out, List.rev infos)
+  (out, Array.map snd parts)
 
-let compress ?block_size ?budget_factor ?jobs input =
-  fst (compress_with_info ?block_size ?budget_factor ?jobs input)
+(* Two sorters order a block's rotations.  [compress_with_info] runs the
+   victim model, [Block_sort]'s budgeted mainSort -> fallbackSort with its
+   exact work counts, because its control flow is what the attacks
+   observe.  [compress] runs the comparison-free [Bwt.sort_rotations_sub].
+   Both break ties between identical rotations by start index, so they
+   return the same permutation and the two entry points the same bytes. *)
+let compress_with_info ?(block_size = default_block_size)
+    ?(budget_factor = Block_sort.default_budget_factor) ?(jobs = 1) input =
+  let sort ~arena data ~off ~len =
+    let perm, path =
+      Block_sort.block_sort_sub ~arena ~budget_factor
+        ~full_block:(len = block_size) data ~off ~len
+    in
+    (perm, (len, path))
+  in
+  let out, reports = compress_blocks ~sort ~block_size ~jobs input in
+  ( out,
+    List.mapi
+      (fun index (length, path) -> { index; length; path })
+      (Array.to_list reports) )
+
+let compress ?(block_size = default_block_size) ?(jobs = 1) input =
+  let sort ~arena data ~off ~len =
+    Obs.with_span "bwt.sort" ~attrs:[ ("bytes", string_of_int len) ]
+    @@ fun () -> (Bwt.sort_rotations_sub ~arena data ~off ~len, ())
+  in
+  fst (compress_blocks ~sort ~block_size ~jobs input)
 
 (* Reference compression path: sequential, one whole-block [Bytes.sub]
    per block, fresh allocations in every stage via the public per-stage
-   APIs.  Not used in production — retained so the differential tests can
-   pin the arena/slice pipeline above to byte-identical output. *)
-let compress_ref ?(block_size = default_block_size)
-    ?(budget_factor = Block_sort.default_budget_factor) input =
-  if block_size < 16 then invalid_arg "Bzip2.compress: block_size too small";
-  if block_size > max_block_size then
-    invalid_arg "Bzip2.compress: block_size too large";
+   APIs, and the victim-model sorter.  Not used in production — retained
+   so the differential tests can pin the arena/slice pipeline above, and
+   the production sorter, to byte-identical output. *)
+let compress_ref ?(block_size = default_block_size) input =
+  check_block_size block_size;
   let data = Rle1.encode input in
   let n = Bytes.length data in
   let w = Bitio.Writer.create () in
@@ -252,7 +283,7 @@ let compress_ref ?(block_size = default_block_size)
     let pos = index * block_size in
     let block = Bytes.sub data pos (min block_size (n - pos)) in
     let full_block = Bytes.length block = block_size in
-    let perm, _ = Block_sort.block_sort ~budget_factor ~full_block block in
+    let perm, _ = Block_sort.block_sort ~full_block block in
     let last, primary = Bwt.transform_with ~perm block in
     let symbols = Rle2.encode (Mtf.encode last) in
     write_block_body w ~primary ~len:(Bytes.length block) symbols

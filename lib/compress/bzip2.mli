@@ -22,11 +22,13 @@ val max_block_size : int
     {!decompress} rejects headers declaring more (they would let a
     ~50-byte input demand a 4 GiB allocation). *)
 
-val compress :
-  ?block_size:int -> ?budget_factor:int -> ?jobs:int -> bytes -> bytes
-(** [jobs] (default 1) compresses blocks on that many domains; the output
-    bytes — and the per-block sort paths — are identical for every value,
-    blocks being independent. *)
+val compress : ?block_size:int -> ?jobs:int -> bytes -> bytes
+(** The production compressor.  Blocks are sorted by the comparison-free
+    {!Bwt.sort_rotations_sub}, not by the {!Block_sort} victim model;
+    both break ties between identical rotations by start index, so the
+    output is byte-identical to {!compress_with_info}'s.  [jobs]
+    (default 1) compresses blocks on that many domains; the output bytes
+    are identical for every value, blocks being independent. *)
 
 val compress_with_info :
   ?block_size:int ->
@@ -34,15 +36,19 @@ val compress_with_info :
   ?jobs:int ->
   bytes ->
   bytes * block_info list
-(** Also reports the per-block sorting control flow — the observable the
-    fingerprinting attack of Section VI classifies. *)
+(** {!compress} through the victim model: each block is sorted by
+    {!Block_sort.block_sort_sub} (mainSort under a [budget_factor] work
+    budget, falling back to fallbackSort), and the per-block sorting
+    control flow is reported — the observable the fingerprinting attack
+    of Section VI classifies.  Same bytes as {!compress}; the paths are
+    identical for every [jobs]. *)
 
-val compress_ref : ?block_size:int -> ?budget_factor:int -> bytes -> bytes
+val compress_ref : ?block_size:int -> bytes -> bytes
 (** Reference implementation of {!compress}: sequential, one whole-block
-    [Bytes.sub] per block, fresh allocations in every stage.  Slower than
-    {!compress} and not used by production code; retained so differential
-    tests can pin the zero-copy arena pipeline to byte-identical
-    output. *)
+    [Bytes.sub] per block, fresh allocations in every stage, victim-model
+    sorter.  Slower than {!compress} and not used by production code;
+    retained so differential tests can pin the zero-copy arena pipeline
+    and the production sorter to byte-identical output. *)
 
 val decompress_result : bytes -> (bytes, Codec_error.t) result
 (** Safe decoder: truncated or corrupt streams, oversized block headers

@@ -1,56 +1,13 @@
 type code = { length : int; bits : int }
 
-(* Minimal binary min-heap over (weight, node id), used only here. *)
-module Heap = struct
-  type t = {
-    mutable data : (int * int) array;
-    mutable size : int;
-  }
-
-  let create capacity = { data = Array.make (max 1 capacity) (0, 0); size = 0 }
-
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
-  let push h x =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) (0, 0) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- x;
-    h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if h.size = 0 then invalid_arg "Heap.pop: empty";
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-      if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
-      end
-    done;
-    top
-
-  let size h = h.size
-end
-
+(* The tree is built with a binary min-heap of (weight, node id) pairs
+   held in two parallel int arrays, so no pair is boxed.  The heap orders
+   by weight alone, and the order in which equal weights pop — hence which
+   of several optimal trees is built, and the code lengths every format
+   serializes — follows from the exact sequence of sift comparisons.
+   test/oracles.ml keeps a heap of boxed tuples with that sequence as the
+   reference; moving a hole instead of swapping makes the same
+   comparisons and ends in the same array. *)
 let lengths_of_freqs ?(max_length = 15) freqs =
   let n = Array.length freqs in
   let used = ref 0 in
@@ -64,72 +21,131 @@ let lengths_of_freqs ?(max_length = 15) freqs =
     lengths
   end
   else begin
+    (* At most [used] entries are ever live: each merge pops two and
+       pushes one. *)
+    let weight = Array.make !used 0 and node = Array.make !used 0 in
+    (* Entry (w, v) enters at slot [i] and rises past heavier parents. *)
+    let sift_up i w v =
+      let i = ref i in
+      while !i > 0 && weight.((!i - 1) / 2) > w do
+        let p = (!i - 1) / 2 in
+        weight.(!i) <- weight.(p);
+        node.(!i) <- node.(p);
+        i := p
+      done;
+      weight.(!i) <- w;
+      node.(!i) <- v
+    in
+    (* Entry (w, v) enters at the root of a heap of [size] and sinks below
+       lighter children, the left one first on ties. *)
+    let sift_down size w v =
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i and least = ref w in
+        if l < size && weight.(l) < !least then begin
+          smallest := l;
+          least := weight.(l)
+        end;
+        if r < size && weight.(r) < !least then smallest := r;
+        if !smallest = !i then continue := false
+        else begin
+          weight.(!i) <- weight.(!smallest);
+          node.(!i) <- node.(!smallest);
+          i := !smallest
+        end
+      done;
+      weight.(!i) <- w;
+      node.(!i) <- v
+    in
+    let size = ref 0 in
+    for s = 0 to n - 1 do
+      if freqs.(s) > 0 then begin
+        sift_up !size freqs.(s) s;
+        incr size
+      end
+    done;
     (* Internal tree nodes are numbered from [n]; [parent] links each node
-       to its parent so depths can be read off after construction. *)
+       to its parent, which always has a larger number. *)
     let parent = Array.make (2 * n) (-1) in
-    let heap = Heap.create n in
-    Array.iteri (fun s f -> if f > 0 then Heap.push heap (f, s)) freqs;
     let next = ref n in
-    while Heap.size heap > 1 do
-      let w1, n1 = Heap.pop heap in
-      let w2, n2 = Heap.pop heap in
+    while !size > 1 do
+      let w1 = weight.(0) and n1 = node.(0) in
+      decr size;
+      sift_down !size weight.(!size) node.(!size);
+      let w2 = weight.(0) and n2 = node.(0) in
+      decr size;
+      sift_down !size weight.(!size) node.(!size);
       parent.(n1) <- !next;
       parent.(n2) <- !next;
-      Heap.push heap (w1 + w2, !next);
+      sift_up !size (w1 + w2) !next;
+      incr size;
       incr next
+    done;
+    (* Depths top-down: a node's parent is numbered above it, so walking
+       the numbers downwards from the root meets every parent first. *)
+    let depth = Array.make !next 0 in
+    let deepest = ref 0 in
+    for v = !next - 2 downto 0 do
+      let p = parent.(v) in
+      if p >= 0 then depth.(v) <- depth.(p) + 1
     done;
     for s = 0 to n - 1 do
       if freqs.(s) > 0 then begin
-        let d = ref 0 and node = ref s in
-        while parent.(!node) >= 0 do
-          incr d;
-          node := parent.(!node)
-        done;
-        lengths.(s) <- !d
+        lengths.(s) <- depth.(s);
+        if depth.(s) > !deepest then deepest := depth.(s)
       end
     done;
-    (* Overflow repair (zlib-style): cap lengths at [max_length] and restore
-       the Kraft equality by demoting codes from shorter levels. *)
-    let bl_count = Array.make (max_length + 1) 0 in
-    Array.iter
-      (fun l -> if l > 0 then
-          let l = min l max_length in
-          bl_count.(l) <- bl_count.(l) + 1)
-      lengths;
-    let kraft () =
-      let acc = ref 0 in
+    (* Within [max_length] the Kraft sum is already exact and the re-deal
+       below would hand every symbol back its own length. *)
+    if !deepest > max_length then begin
+      (* Overflow repair (zlib-style): cap lengths at [max_length] and
+         restore the Kraft equality by demoting codes from shorter
+         levels. *)
+      let bl_count = Array.make (max_length + 1) 0 in
+      Array.iter
+        (fun l -> if l > 0 then
+            let l = min l max_length in
+            bl_count.(l) <- bl_count.(l) + 1)
+        lengths;
+      let kraft = ref 0 in
       for l = 1 to max_length do
-        acc := !acc + (bl_count.(l) lsl (max_length - l))
+        kraft := !kraft + (bl_count.(l) lsl (max_length - l))
       done;
-      !acc
-    in
-    let budget = 1 lsl max_length in
-    while kraft () > budget do
-      (* Take one code from the deepest non-empty level above the floor and
-         push it one level down, compensating at max_length. *)
-      let l = ref (max_length - 1) in
-      while bl_count.(!l) = 0 do decr l done;
-      bl_count.(!l) <- bl_count.(!l) - 1;
-      bl_count.(!l + 1) <- bl_count.(!l + 1) + 2;
-      bl_count.(max_length) <- bl_count.(max_length) - 1
-    done;
-    (* Reassign lengths from the repaired histogram: sort used symbols by
-       original length (ties by index) and deal lengths shortest-first. *)
-    let syms =
-      Array.of_list
-        (List.filter (fun s -> freqs.(s) > 0) (List.init n (fun i -> i)))
-    in
-    Array.sort
-      (fun a b ->
-        match compare lengths.(a) lengths.(b) with 0 -> compare a b | c -> c)
-      syms;
-    let idx = ref 0 in
-    for l = 1 to max_length do
-      for _ = 1 to bl_count.(l) do
-        lengths.(syms.(!idx)) <- l;
-        incr idx
+      (* Each step below lowers the Kraft sum (in units of
+         2^-max_length) by exactly one: -2^(m-l) + 2 * 2^(m-l-1) - 1. *)
+      for _ = 1 to !kraft - (1 lsl max_length) do
+        (* Take one code from the deepest non-empty level above the floor
+           and push it one level down, compensating at max_length. *)
+        let l = ref (max_length - 1) in
+        while bl_count.(!l) = 0 do decr l done;
+        bl_count.(!l) <- bl_count.(!l) - 1;
+        bl_count.(!l + 1) <- bl_count.(!l + 1) + 2;
+        bl_count.(max_length) <- bl_count.(max_length) - 1
+      done;
+      (* Reassign lengths from the repaired histogram: sort used symbols
+         by original length (ties by index) and deal lengths
+         shortest-first. *)
+      let syms = Array.make !used 0 in
+      let k = ref 0 in
+      for s = 0 to n - 1 do
+        if freqs.(s) > 0 then begin
+          syms.(!k) <- s;
+          incr k
+        end
+      done;
+      Array.sort
+        (fun a b ->
+          match compare lengths.(a) lengths.(b) with 0 -> compare a b | c -> c)
+        syms;
+      let idx = ref 0 in
+      for l = 1 to max_length do
+        for _ = 1 to bl_count.(l) do
+          lengths.(syms.(!idx)) <- l;
+          incr idx
+        done
       done
-    done;
+    end;
     lengths
   end
 

@@ -229,14 +229,17 @@ let compress input =
    [min_bits] wide, and after [c] codes the longest dictionary string is
    [c] bytes (each new entry extends a previous string by one byte), so
    [c] codes can emit at most [c * (c + 1) / 2] bytes. *)
-(* Largest [c] for which [c * (c + 1)] cannot overflow, i.e. the integer
-   square root bound of [2 * max_int].  Derived from [max_int] instead of a
+(* Largest [c] for which [c * (c + 1)] cannot overflow, i.e. about the
+   integer square root of [max_int].  Derived from [max_int] instead of a
    hard-coded [1 lsl 31] so the guard is correct at any word size (the old
    constant wrapped to a small number on 32-bit OCaml, letting the product
-   below overflow). *)
+   below overflow).  The float square root lands within a step or two of
+   the answer, so the two fix-up loops run at most a few iterations: this
+   is evaluated at module initialisation, in every process that links the
+   library. *)
 let triangular_cap =
   let fits c = c = 0 || c + 1 <= max_int / c in
-  let c = ref (int_of_float (Float.sqrt (2.0 *. float_of_int max_int))) in
+  let c = ref (int_of_float (Float.sqrt (float_of_int max_int))) in
   while not (fits !c) do
     decr c
   done;

@@ -73,9 +73,9 @@ val compress_with_probes : bytes -> bytes * probe list
     trace an attacker of the Listing 2 gadget observes. *)
 
 val triangular_cap : int
-(** Largest [c] for which [c * (c + 1)] fits in an [int] — the integer
-    square root bound of [2 * max_int], computed from [max_int] so it is
-    correct at any word size. *)
+(** Largest [c] for which [c * (c + 1)] fits in an [int] — about the
+    integer square root of [max_int] (2147483647 on 64-bit hosts),
+    computed from [max_int] so it is correct at any word size. *)
 
 val max_declared_length : payload_bits:int -> int
 (** The decompression-bomb bound: the most bytes a payload of

@@ -12,7 +12,8 @@ val encode_sub :
 (** {!encode} of [Bytes.sub input off len] without materializing the
     slice.  With [arena] the result is the arena's int slot 7: logical
     length [len], physical possibly longer, overwritten by the next
-    encode using the same arena. *)
+    encode using the same arena.
+    @raise Invalid_argument if the slice is not inside [input]. *)
 
 val decode_result : int array -> (bytes, Codec_error.t) result
 (** Safe decoder: a symbol outside 0..255 is an [Error] whose offset is

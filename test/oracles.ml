@@ -1,0 +1,171 @@
+(* Reference implementations kept only as test oracles: the straightforward
+   versions the optimized library code replaced.  The differential tests in
+   test_oracles.ml pin the library to them, output for output. *)
+
+(* [Huffman.lengths_of_freqs] as it was with a heap of boxed
+   (weight, node id) tuples, a parent walk per symbol for the depths, and
+   the overflow repair's re-deal always run. *)
+module Huffman_ref = struct
+  module Heap = struct
+    type t = {
+      mutable data : (int * int) array;
+      mutable size : int;
+    }
+
+    let create capacity = { data = Array.make (max 1 capacity) (0, 0); size = 0 }
+
+    let swap h i j =
+      let tmp = h.data.(i) in
+      h.data.(i) <- h.data.(j);
+      h.data.(j) <- tmp
+
+    let push h x =
+      if h.size = Array.length h.data then begin
+        let bigger = Array.make (2 * h.size) (0, 0) in
+        Array.blit h.data 0 bigger 0 h.size;
+        h.data <- bigger
+      end;
+      h.data.(h.size) <- x;
+      h.size <- h.size + 1;
+      let i = ref (h.size - 1) in
+      while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
+        swap h ((!i - 1) / 2) !i;
+        i := (!i - 1) / 2
+      done
+
+    let pop h =
+      if h.size = 0 then invalid_arg "Heap.pop: empty";
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      h.data.(0) <- h.data.(h.size);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then
+          smallest := l;
+        if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then
+          smallest := r;
+        if !smallest = !i then continue := false
+        else begin
+          swap h !i !smallest;
+          i := !smallest
+        end
+      done;
+      top
+
+    let size h = h.size
+  end
+
+  let lengths_of_freqs ?(max_length = 15) freqs =
+    let n = Array.length freqs in
+    let used = ref 0 in
+    Array.iter (fun f -> if f > 0 then incr used) freqs;
+    if !used > 1 lsl max_length then
+      invalid_arg "Huffman.lengths_of_freqs: too many symbols for max_length";
+    let lengths = Array.make n 0 in
+    if !used = 0 then lengths
+    else if !used = 1 then begin
+      Array.iteri (fun s f -> if f > 0 then lengths.(s) <- 1) freqs;
+      lengths
+    end
+    else begin
+      let parent = Array.make (2 * n) (-1) in
+      let heap = Heap.create n in
+      Array.iteri (fun s f -> if f > 0 then Heap.push heap (f, s)) freqs;
+      let next = ref n in
+      while Heap.size heap > 1 do
+        let w1, n1 = Heap.pop heap in
+        let w2, n2 = Heap.pop heap in
+        parent.(n1) <- !next;
+        parent.(n2) <- !next;
+        Heap.push heap (w1 + w2, !next);
+        incr next
+      done;
+      for s = 0 to n - 1 do
+        if freqs.(s) > 0 then begin
+          let d = ref 0 and node = ref s in
+          while parent.(!node) >= 0 do
+            incr d;
+            node := parent.(!node)
+          done;
+          lengths.(s) <- !d
+        end
+      done;
+      let bl_count = Array.make (max_length + 1) 0 in
+      Array.iter
+        (fun l -> if l > 0 then
+            let l = min l max_length in
+            bl_count.(l) <- bl_count.(l) + 1)
+        lengths;
+      let kraft () =
+        let acc = ref 0 in
+        for l = 1 to max_length do
+          acc := !acc + (bl_count.(l) lsl (max_length - l))
+        done;
+        !acc
+      in
+      let budget = 1 lsl max_length in
+      while kraft () > budget do
+        let l = ref (max_length - 1) in
+        while bl_count.(!l) = 0 do decr l done;
+        bl_count.(!l) <- bl_count.(!l) - 1;
+        bl_count.(!l + 1) <- bl_count.(!l + 1) + 2;
+        bl_count.(max_length) <- bl_count.(max_length) - 1
+      done;
+      let syms =
+        Array.of_list
+          (List.filter (fun s -> freqs.(s) > 0) (List.init n (fun i -> i)))
+      in
+      Array.sort
+        (fun a b ->
+          match compare lengths.(a) lengths.(b) with 0 -> compare a b | c -> c)
+        syms;
+      let idx = ref 0 in
+      for l = 1 to max_length do
+        for _ = 1 to bl_count.(l) do
+          lengths.(syms.(!idx)) <- l;
+          incr idx
+        done
+      done;
+      lengths
+    end
+end
+
+(* [Mtf] as it was with the recency list in an int array, a linear scan
+   per byte and an [Array.blit] shift. *)
+module Mtf_ref = struct
+  let initial_order () = Array.init 256 (fun i -> i)
+
+  let move_to_front order pos =
+    let v = order.(pos) in
+    Array.blit order 0 order 1 pos;
+    order.(0) <- v
+
+  let encode input =
+    let order = initial_order () in
+    let len = Bytes.length input in
+    let out = Array.make len 0 in
+    for i = 0 to len - 1 do
+      let c = Char.code (Bytes.get input i) in
+      let pos = ref 0 in
+      while order.(!pos) <> c do incr pos done;
+      move_to_front order !pos;
+      out.(i) <- !pos
+    done;
+    out
+
+  (* Symbols must be in 0..255. *)
+  let decode symbols =
+    let order = initial_order () in
+    let n = Array.length symbols in
+    let out = Bytes.create n in
+    for i = 0 to n - 1 do
+      let pos = symbols.(i) in
+      let c = order.(pos) in
+      move_to_front order pos;
+      Bytes.set out i (Char.chr c)
+    done;
+    out
+end

@@ -746,6 +746,7 @@ let test_lzw_triangular_cap_boundary () =
   let c = Lzw.triangular_cap in
   Alcotest.(check bool) "cap fits" true (c * (c + 1) >= 0 && c + 1 <= max_int / c);
   Alcotest.(check bool) "cap+1 overflows" true ((c + 1) * (c + 2) < 0);
+  if Sys.int_size = 63 then Alcotest.(check int) "63-bit value" 2147483647 c;
   (* Small payloads stay on the exact triangular formula... *)
   Alcotest.(check int) "exact for 10 codes"
     (10 * 11 / 2)
@@ -818,6 +819,24 @@ let test_snappy_copy_forms () =
   roundtrip "far match" Snappy.compress Snappy.decompress
     (Bytes.of_string
        ("needle" ^ String.make 3_000 '.' ^ "needle" ^ String.make 200 '!'))
+
+(* 1 MiB of a 4-byte little-endian counter: 4-byte sequences almost never
+   repeat, so both encoders emit literal runs spanning most of the input,
+   through the longest length encodings each format has (LZ4's
+   255-extension chain, Snappy's multi-byte literal lengths). *)
+let test_lz4_snappy_literal_run () =
+  let n = 1 lsl 20 in
+  let b = Bytes.create n in
+  for i = 0 to (n / 4) - 1 do
+    Bytes.set_int32_le b (4 * i) (Int32.of_int i)
+  done;
+  let check name compress decompress_result =
+    match decompress_result (compress b) with
+    | Ok out -> Alcotest.(check bool) (name ^ " round trip") true (Bytes.equal out b)
+    | Error e -> Alcotest.fail (name ^ ": " ^ Codec_error.to_string e)
+  in
+  check "lz4" Lz4.compress Lz4.decompress_result;
+  check "snappy" Snappy.compress Snappy.decompress_result
 
 let test_snappy_compresses_text () =
   let t = prng () in
@@ -960,6 +979,8 @@ let suite =
       Alcotest.test_case "snappy basic" `Quick test_snappy_roundtrip_basic;
       Alcotest.test_case "snappy copy forms" `Quick test_snappy_copy_forms;
       Alcotest.test_case "snappy compresses" `Quick test_snappy_compresses_text;
+      Alcotest.test_case "lz4/snappy 1 MiB literal run" `Quick
+        test_lz4_snappy_literal_run;
       Alcotest.test_case "snappy hash spec" `Quick test_snappy_hash_matches_spec;
       Alcotest.test_case "snappy bad offset" `Quick test_snappy_bad_offset;
       QCheck_alcotest.to_alcotest qcheck_snappy;
