@@ -343,18 +343,6 @@ let check_invariants results =
 (* Machine-readable trajectory: "bench --json" appends a numbered
    BENCH_<n>.json snapshot next to any earlier ones, so successive PRs can
    be compared without parsing the human-readable table. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let next_bench_index () =
   let files = try Sys.readdir "." with Sys_error _ -> [||] in
   Array.fold_left
@@ -394,7 +382,7 @@ let write_bench_json results =
               (String.concat ", "
                  (List.map
                     (fun (k, v) ->
-                      Printf.sprintf "\"%s\": %s" (json_escape k)
+                      Printf.sprintf "\"%s\": %s" (Obs.json_escape k)
                         (metric_number v))
                     pairs))
       in
@@ -407,12 +395,12 @@ let write_bench_json results =
               (String.concat ", "
                  (List.map
                     (fun (span, self, total) ->
-                      Printf.sprintf "\"%s\": [%d, %d]" (json_escape span)
+                      Printf.sprintf "\"%s\": [%d, %d]" (Obs.json_escape span)
                         self total)
                     p.Obs_prof.self))
       in
       Printf.fprintf oc "  {\"name\": \"%s\", \"ns_per_run\": %.1f%s%s%s}%s\n"
-        (json_escape name)
+        (Obs.json_escape name)
         (if Float.is_nan ns then -1.0 else ns)
         throughput_json metrics_json profile_json
         (if i < List.length results - 1 then "," else ""))

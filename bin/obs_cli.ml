@@ -1,5 +1,5 @@
-(* Shared cmdliner plumbing for the observability flags and the --jobs
-   guard, linked into all three executables. *)
+(* Cmdliner plumbing shared by zc's commands: the observability flags
+   and the --jobs guard. *)
 
 open Cmdliner
 module Obs = Zipchannel.Obs

@@ -49,6 +49,23 @@ let read_exact fd buf off len =
     got := !got + n
   done
 
+(* Copy [read] to [write] until [read] reports end of input. *)
+let pump read write =
+  let buf = Bytes.create 65536 in
+  let rec go () =
+    let n = read buf 0 (Bytes.length buf) in
+    if n > 0 then begin
+      write buf 0 n;
+      go ()
+    end
+  in
+  go ()
+
+let read_all fd =
+  let b = Buffer.create 4096 in
+  pump (Unix.read fd) (Buffer.add_subbytes b);
+  Buffer.contents b
+
 (* ------------------------------------------------------------------ *)
 (* Local streaming: channel -> channel, no daemon involved *)
 
@@ -86,7 +103,8 @@ let stream_local ~decompress ~codec ~frame_size ~jobs ~input ~output =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Remote streaming: shuttle bytes to/from a zc serve daemon *)
+(* The loopback client behind every [--connect]: [zc stream], [zc leak
+   oracle] and [zc obs top] *)
 
 let parse_host_port s =
   match String.rindex_opt s ':' with
@@ -98,90 +116,108 @@ let parse_host_port s =
       | None -> Error (Printf.sprintf "bad port in %S" s)
       | Some port -> Ok (host, port))
 
-let resolve host port =
-  match Unix.getaddrinfo host (string_of_int port)
-          [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ] with
-  | [] -> Error (Printf.sprintf "cannot resolve %s" host)
-  | ai :: _ -> Ok ai.Unix.ai_addr
-
-let stream_remote ~decompress ~codec ~frame_size ~connect ~input ~output =
+(* Connect to HOST:PORT and run [f host fd], closing the socket after.
+   Resolution and socket errors come back as [Error]. *)
+let with_connection connect f =
   match parse_host_port connect with
   | Error _ as e -> e
   | Ok (host, port) -> (
-      match resolve host port with
-      | Error _ as e -> e
-      | Ok addr ->
-          let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-          Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          @@ fun () ->
-          Unix.connect fd addr;
-          let hdr = Bytes.create 10 in
-          Bytes.blit_string "ZCRQ" 0 hdr 0 4;
-          Bytes.set hdr 4 (if decompress then '\002' else '\001');
-          Bytes.set hdr 5 (Char.chr (Frame.codec_id codec));
-          Bytes.set_int32_le hdr 6 (Int32.of_int frame_size);
-          write_all fd hdr ~off:0 ~len:10;
-          (* Uploader thread: payload up, then half-close so the server
-             sees EOF; the main thread reads the response concurrently
-             (required: the server streams output while input is still
-             arriving, so a send-all-then-read client can deadlock on
-             socket buffers). *)
-          let upload_err = ref None in
-          let uploader =
-            Thread.create
-              (fun () ->
-                try
-                  with_in_channel input @@ fun ic ->
-                  let buf = Bytes.create 65536 in
-                  let rec loop () =
-                    let n = Stdlib.input ic buf 0 (Bytes.length buf) in
-                    if n > 0 then begin
-                      write_all fd buf ~off:0 ~len:n;
-                      loop ()
-                    end
-                  in
-                  loop ();
-                  Unix.shutdown fd Unix.SHUTDOWN_SEND
-                with e -> upload_err := Some (Printexc.to_string e))
-              ()
-          in
-          let tag = Bytes.create 4 in
-          let result =
-            match read_exact fd tag 0 4 with
-            | exception Failure msg -> Error msg
-            | () ->
-                if Bytes.to_string tag = "ZCOK" then begin
-                  with_out_channel output @@ fun oc ->
-                  let buf = Bytes.create 65536 in
-                  let rec drain () =
-                    let n = Unix.read fd buf 0 (Bytes.length buf) in
-                    if n > 0 then begin
-                      Stdlib.output oc buf 0 n;
-                      drain ()
-                    end
-                  in
-                  drain ();
-                  Ok ()
-                end
-                else if Bytes.to_string tag = "ZCER" then begin
-                  let b = Buffer.create 64 in
-                  let buf = Bytes.create 4096 in
-                  let rec drain () =
-                    let n = Unix.read fd buf 0 (Bytes.length buf) in
-                    if n > 0 then begin
-                      Buffer.add_subbytes b buf 0 n;
-                      drain ()
-                    end
-                  in
-                  drain ();
-                  Error ("server: " ^ Buffer.contents b)
-                end
-                else Error "malformed response from server"
-          in
-          Thread.join uploader;
-          (match (!upload_err, result) with
-          | Some msg, Ok () -> Error ("upload: " ^ msg)
-          | _, r -> r))
+      try
+        match
+          Unix.getaddrinfo host (string_of_int port)
+            [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+        with
+        | [] -> Error (Printf.sprintf "cannot resolve %s" host)
+        | { Unix.ai_addr = addr; _ } :: _ ->
+            let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            @@ fun () ->
+            Unix.connect fd addr;
+            f host fd
+      with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+
+(* One ZCRQ request.  An uploader thread hands [upload] a [send buf off
+   len] for the payload, then half-closes so the server sees EOF; this
+   thread reads the response concurrently (required: the server streams
+   output while input is still arriving, so a send-all-then-read client
+   can deadlock on socket buffers).  After "ZCOK", [download fd]
+   consumes the result stream; after "ZCER", the rest is the error.  An
+   upload error is reported even after "ZCOK": the result is then cut
+   short. *)
+let request ~connect ~decompress ~codec ~frame_size ~upload ~download =
+  with_connection connect @@ fun _host fd ->
+  let hdr = Bytes.create 10 in
+  Bytes.blit_string "ZCRQ" 0 hdr 0 4;
+  Bytes.set hdr 4 (if decompress then '\002' else '\001');
+  Bytes.set hdr 5 (Char.chr (Frame.codec_id codec));
+  Bytes.set_int32_le hdr 6 (Int32.of_int frame_size);
+  write_all fd hdr ~off:0 ~len:10;
+  let upload_err = ref None in
+  let uploader =
+    Thread.create
+      (fun () ->
+        try
+          upload (fun buf off len -> write_all fd buf ~off ~len);
+          Unix.shutdown fd Unix.SHUTDOWN_SEND
+        with e -> upload_err := Some (Printexc.to_string e))
+      ()
+  in
+  let tag = Bytes.create 4 in
+  let result =
+    match read_exact fd tag 0 4 with
+    | exception Failure msg -> Error msg
+    | () -> (
+        match Bytes.to_string tag with
+        | "ZCOK" -> Ok (download fd)
+        | "ZCER" -> Error ("server: " ^ read_all fd)
+        | _ -> Error "malformed response from server")
+  in
+  Thread.join uploader;
+  match (!upload_err, result) with
+  | Some msg, Ok _ -> Error ("upload: " ^ msg)
+  | _, r -> r
+
+let stream_remote ~decompress ~codec ~frame_size ~connect ~input ~output =
+  request ~connect ~decompress ~codec ~frame_size
+    ~upload:(fun send ->
+      with_in_channel input (fun ic -> pump (reader_of_channel ic) send))
+    ~download:(fun fd ->
+      with_out_channel output (fun oc -> pump (Unix.read fd) (Stdlib.output oc)))
+
+(* Single-shot compress request: send one plaintext, return the complete
+   framed response.  This is the [zc leak oracle] probe — what a network
+   attacker does, over the loopback. *)
+let request_compress ~connect ~codec ~frame_size payload =
+  request ~connect ~decompress:false ~codec ~frame_size
+    ~upload:(fun send -> send payload 0 (Bytes.length payload))
+    ~download:(fun fd -> Bytes.of_string (read_all fd))
+
+let find_sub ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = if i + n > m then None
+    else if String.sub s i n = sub then Some i else go (i + 1) in
+  go 0
+
+(* Minimal HTTP GET against the daemon's metrics listener — what
+   [zc obs top --connect] polls.  Returns the response body of a 200. *)
+let http_get ~connect ~path =
+  with_connection connect @@ fun host fd ->
+  let req =
+    Bytes.of_string
+      (Printf.sprintf "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
+         path host)
+  in
+  write_all fd req ~off:0 ~len:(Bytes.length req);
+  let resp = read_all fd in
+  match find_sub ~sub:"\r\n\r\n" resp with
+  | None -> Error "malformed HTTP response"
+  | Some i ->
+      let status =
+        match String.split_on_char ' ' resp with _http :: code :: _ -> code | _ -> "?"
+      in
+      if status = "200" then Ok (String.sub resp (i + 4) (String.length resp - i - 4))
+      else Error (Printf.sprintf "HTTP %s from %s" status path)
 
 (* ------------------------------------------------------------------ *)
 (* The daemon *)
@@ -501,120 +537,3 @@ let serve ?(max_conns = 64) ?audit ~port ~metrics_port ~jobs () =
   | None -> ());
   Printf.printf "zc serve: %d connection(s) served, shutting down\n%!"
     (Obs.Metrics.counter_value m_conns)
-
-(* ------------------------------------------------------------------ *)
-(* Single-shot compress request against a daemon: send one plaintext,
-   return the complete framed response.  This is the [zc leak oracle]
-   probe — what a network attacker does, over the loopback. *)
-
-let request_compress ~connect ~codec ~frame_size payload =
-  match parse_host_port connect with
-  | Error _ as e -> e
-  | Ok (host, port) -> (
-      match resolve host port with
-      | Error _ as e -> e
-      | Ok addr ->
-          let fd =
-            Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-          @@ fun () ->
-          Unix.connect fd addr;
-          let hdr = Bytes.create 10 in
-          Bytes.blit_string "ZCRQ" 0 hdr 0 4;
-          Bytes.set hdr 4 '\001';
-          Bytes.set hdr 5 (Char.chr (Frame.codec_id codec));
-          Bytes.set_int32_le hdr 6 (Int32.of_int frame_size);
-          write_all fd hdr ~off:0 ~len:10;
-          let uploader =
-            Thread.create
-              (fun () ->
-                try
-                  write_all fd payload ~off:0 ~len:(Bytes.length payload);
-                  Unix.shutdown fd Unix.SHUTDOWN_SEND
-                with Unix.Unix_error _ -> ())
-              ()
-          in
-          let tag = Bytes.create 4 in
-          let result =
-            match read_exact fd tag 0 4 with
-            | exception Failure msg -> Error msg
-            | () ->
-                let b = Buffer.create 4096 in
-                let buf = Bytes.create 65536 in
-                let rec drain () =
-                  let n = Unix.read fd buf 0 (Bytes.length buf) in
-                  if n > 0 then begin
-                    Buffer.add_subbytes b buf 0 n;
-                    drain ()
-                  end
-                in
-                drain ();
-                if Bytes.to_string tag = "ZCOK" then Ok (Buffer.to_bytes b)
-                else if Bytes.to_string tag = "ZCER" then
-                  Error ("server: " ^ Buffer.contents b)
-                else Error "malformed response from server"
-          in
-          Thread.join uploader;
-          result)
-
-(* ------------------------------------------------------------------ *)
-(* Minimal HTTP GET against the daemon's metrics listener — what
-   [zc obs top --connect] polls.  Returns the response body of a 200. *)
-
-let find_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = if i + n > m then None
-    else if String.sub s i n = sub then Some i else go (i + 1) in
-  go 0
-
-let http_get ~connect ~path =
-  match parse_host_port connect with
-  | Error _ as e -> e
-  | Ok (host, port) -> (
-      match resolve host port with
-      | Error _ as e -> e
-      | Ok addr -> (
-          try
-            let fd =
-              Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
-            in
-            Fun.protect
-              ~finally:(fun () ->
-                try Unix.close fd with Unix.Unix_error _ -> ())
-            @@ fun () ->
-            Unix.connect fd addr;
-            let req =
-              Printf.sprintf
-                "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
-                path host
-            in
-            let b = Bytes.of_string req in
-            write_all fd b ~off:0 ~len:(Bytes.length b);
-            let acc = Buffer.create 4096 in
-            let buf = Bytes.create 65536 in
-            let rec drain () =
-              let n = Unix.read fd buf 0 (Bytes.length buf) in
-              if n > 0 then begin
-                Buffer.add_subbytes acc buf 0 n;
-                drain ()
-              end
-            in
-            drain ();
-            let resp = Buffer.contents acc in
-            match find_sub ~sub:"\r\n\r\n" resp with
-            | None -> Error "malformed HTTP response"
-            | Some i ->
-                let body =
-                  String.sub resp (i + 4) (String.length resp - i - 4)
-                in
-                let status =
-                  match String.split_on_char ' ' resp with
-                  | _http :: code :: _ -> code
-                  | _ -> "?"
-                in
-                if status = "200" then Ok body
-                else Error (Printf.sprintf "HTTP %s from %s" status path)
-          with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)))

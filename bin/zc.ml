@@ -1,10 +1,14 @@
-(* zc: the compression utility surface of the library.
+(* zc: the command-line surface of the library.
 
      zc compress  -a bzip2  file.txt file.zc
      zc decompress -a bzip2 file.zc file.txt
      zc archive create out.zca file1 file2 ...
      zc archive list out.zca
      zc archive extract out.zca entryname outfile
+     zc taint -t all -j 4          TaintChannel gadget survey
+     zc attack sgx -n 10000        Prime+Probe on bzip2 inside SGX
+     zc attack fingerprint         Flush+Reload file fingerprinting
+     zc experiments -e E1          one paper experiment (or all of them)
 
    Algorithms: bzip2, gzip, zlib, deflate (raw RFC 1951), lzw, huffman,
    store.  gzip/zlib streams interoperate with standard tools. *)
@@ -53,12 +57,7 @@ let run_codec ~decompress algo jobs input output =
             (Bytes.length out);
           `Ok ()
       | exception (Failure msg | Invalid_argument msg) ->
-          `Error (false, msg)
-      | exception Compress.Container.Corrupt msg -> `Error (false, msg)
-      | exception
-          ( Compress.Bitio.Reader.Out_of_bits
-          | Compress.Bitio.Lsb_reader.Out_of_bits ) ->
-          `Error (false, "truncated or corrupt input"))
+          `Error (false, msg))
 
 let algo =
   let doc = "Compression algorithm: " ^ String.concat ", " codec_names ^ "." in
@@ -191,22 +190,15 @@ let stream_run ~decompress () codec frame_size jobs connect input output =
   if frame_size < 1 || frame_size > Frame.max_frame_size then
     `Error (false, "frame size out of range")
   else
-    let r =
+    match
       match connect with
-      | None ->
-          (try Serve.stream_local ~decompress ~codec ~frame_size ~jobs ~input ~output
-           with
-          | Failure msg -> Error msg
-          | Sys_error msg -> Error msg
-          | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
-      | Some connect -> (
-          try Serve.stream_remote ~decompress ~codec ~frame_size ~connect ~input ~output
-          with
-          | Failure msg -> Error msg
-          | Sys_error msg -> Error msg
-          | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
-    in
-    match r with Ok () -> `Ok () | Error msg -> `Error (false, msg)
+      | None -> Serve.stream_local ~decompress ~codec ~frame_size ~jobs ~input ~output
+      | Some connect ->
+          Serve.stream_remote ~decompress ~codec ~frame_size ~connect ~input ~output
+    with
+    | Ok () -> `Ok ()
+    | Error msg | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
+    | exception Unix.Unix_error (e, _, _) -> `Error (false, Unix.error_message e)
 
 let stream_cmd =
   let mk ~decompress name doc =
@@ -487,12 +479,6 @@ let fuzz_cmd =
 (* ------------------------------------------------------------------ *)
 (* Telemetry: offline converters and the span profiler *)
 
-let read_text path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_out output s =
   match output with
   | None -> print_string s
@@ -502,7 +488,7 @@ let write_out output s =
 
 let obs_export format output input =
   let module E = Obs_export in
-  match E.Json.parse_many (read_text input) with
+  match E.Json.parse_many (Bytes.to_string (read_file input)) with
   | [] -> `Error (false, input ^ ": empty input")
   | first :: _ as values -> (
       (* A telemetry file is either a JSONL span stream or a single
@@ -557,7 +543,7 @@ let obs_profile folded inputs =
   match
     List.concat_map
       (fun input -> List.map E.Span_stream.event_of_json
-          (E.Json.parse_many (read_text input)))
+          (E.Json.parse_many (Bytes.to_string (read_file input))))
       inputs
   with
   | events ->
@@ -755,12 +741,190 @@ let obs_cmd =
     (Cmd.info "obs" ~doc:"Telemetry export, profiling, and the live top view")
     [ export; profile; top ]
 
+(* ------------------------------------------------------------------ *)
+(* The paper's tool and attacks: the TaintChannel survey, Prime+Probe
+   inside SGX, Flush+Reload fingerprinting, and the E1-E19 experiments *)
+
+let seed_arg =
+  Arg.(
+    value & opt int 0xDECAF & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+let input_file_arg =
+  Arg.(
+    value
+    & opt (some file) None
+    & info [ "f"; "file" ] ~docv:"FILE" ~doc:"Input file (default: random data).")
+
+let size_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "n"; "size" ] ~docv:"BYTES"
+        ~doc:"Size of the generated random input in bytes.")
+
+let input_bytes file size seed =
+  match file with
+  | Some path -> read_file path
+  | None -> Util.Prng.bytes (Util.Prng.create ~seed ()) size
+
+let taint () target file size seed jobs =
+  let module S = Taintchannel.Survey in
+  let ppf = Format.std_formatter in
+  let aes = S.Aes { key = Bytes.of_string "0123456789abcdef" } in
+  let gadget = function
+    | "zlib" -> Some S.Zlib
+    | "ncompress" | "lzw" -> Some S.Lzw
+    | "bzip2" -> Some S.Bzip2
+    | "lz4" -> Some S.Lz4
+    | "snappy" -> Some S.Snappy
+    | "aes" -> Some aes
+    | _ -> None
+  in
+  match target with
+  | "all" ->
+      (* One case per gadget target over the same input, analysed on
+         [jobs] domains; the merged report is byte-identical for any
+         [jobs] because cases are independent and order-stable. *)
+      let data = input_bytes file size seed in
+      S.report ~jobs ppf
+        (List.map
+           (fun g -> S.case g data)
+           [ S.Zlib; S.Lzw; S.Bzip2; S.Lz4; S.Snappy; aes ]);
+      `Ok ()
+  | "memcpy" ->
+      let t1 = Taintchannel.Memcpy_model.trace ~size in
+      let t2 = Taintchannel.Memcpy_model.trace ~size:(size + 1) in
+      (match Taintchannel.Trace_diff.compare_traces t1 t2 with
+      | Some r -> Format.fprintf ppf "%a@." Taintchannel.Trace_diff.pp_report r
+      | None -> Format.fprintf ppf "no divergence@.");
+      `Ok ()
+  | name -> (
+      match gadget name with
+      | Some g ->
+          Taintchannel.Engine.report ppf
+            (S.run_case (S.case g (input_bytes file size seed)));
+          `Ok ()
+      | None -> `Error (false, "unknown target: " ^ name))
+
+let taint_cmd =
+  let target =
+    let doc =
+      "Analysis target: zlib, ncompress, bzip2, lz4, snappy, aes, all or memcpy."
+    in
+    Arg.(value & opt string "bzip2" & info [ "t"; "target" ] ~docv:"TARGET" ~doc)
+  in
+  let jobs =
+    Obs_cli.jobs_arg
+      ~doc:
+        "Number of domains for the multi-target survey (-t all); 0 means \
+         all available cores.  Reports are byte-identical for any value."
+  in
+  Cmd.v
+    (Cmd.info "taint"
+       ~doc:"Detect cache side-channel gadgets in compression code (TaintChannel)")
+    Term.(
+      ret
+        (const taint $ Obs_cli.flags $ target $ input_file_arg $ size_arg 4096
+       $ seed_arg $ jobs))
+
+let sgx () file size seed no_cat no_frame_selection =
+  let input = input_bytes file size seed in
+  let config =
+    {
+      Attack.Sgx_attack.default_config with
+      Attack.Sgx_attack.use_cat = not no_cat;
+      use_frame_selection = not no_frame_selection;
+      seed;
+    }
+  in
+  let t0 = Sys.time () in
+  let r = Attack.Sgx_attack.run ~config input in
+  Format.printf
+    "leaked %d bytes: %.2f%% of bits, %.2f%% of bytes (%d lost readings, %d \
+     faults, %.1f s)@."
+    (Bytes.length input)
+    (100.0 *. r.Attack.Sgx_attack.bit_accuracy)
+    (100.0 *. r.byte_accuracy) r.lost_readings r.faults
+    (Sys.time () -. t0);
+  `Ok ()
+
+let fingerprint () seed traces =
+  let ppf = Format.std_formatter in
+  ignore (Experiments.e11_fingerprint_repetitiveness ~seed ~traces_per_file:traces ppf);
+  ignore (Experiments.e10_fingerprint_corpus ~seed ~traces_per_file:traces ppf);
+  `Ok ()
+
+let attack_cmd =
+  let sgx =
+    let no_cat =
+      Arg.(value & flag & info [ "no-cat" ] ~doc:"Disable the Intel CAT technique.")
+    in
+    let no_fs =
+      Arg.(
+        value & flag
+        & info [ "no-frame-selection" ] ~doc:"Disable frame selection.")
+    in
+    Cmd.v
+      (Cmd.info "sgx" ~doc:"Prime+Probe attack on Bzip2 inside SGX (Section V)")
+      Term.(
+        ret
+          (const sgx $ Obs_cli.flags $ input_file_arg $ size_arg 10_000 $ seed_arg
+         $ no_cat $ no_fs))
+  in
+  let fingerprint =
+    let traces =
+      Arg.(
+        value & opt int 25
+        & info [ "traces" ] ~docv:"N" ~doc:"Traces collected per file.")
+    in
+    Cmd.v
+      (Cmd.info "fingerprint"
+         ~doc:"Flush+Reload file fingerprinting on Bzip2 (Section VI)")
+      Term.(ret (const fingerprint $ Obs_cli.flags $ seed_arg $ traces))
+  in
+  Cmd.group
+    (Cmd.info "attack" ~doc:"The end-to-end cache attacks on Bzip2")
+    [ sgx; fingerprint ]
+
+let experiments () seed jobs only =
+  let ppf = Format.std_formatter in
+  match only with
+  | None ->
+      ignore (Experiments.all ~seed ~jobs ppf);
+      `Ok ()
+  | Some id -> (
+      match Experiments.run ~seed ~jobs ~id ppf with
+      | Some _ -> `Ok ()
+      | None ->
+          `Error
+            ( false,
+              "unknown experiment id: " ^ id ^ " (expected "
+              ^ String.concat "/" Experiments.ids
+              ^ ")" ))
+
+let experiments_cmd =
+  let jobs =
+    Obs_cli.jobs_arg
+      ~doc:
+        "Domains for the parallelisable experiments; 0 means all \
+         available cores (output is identical for any value)."
+  in
+  let only =
+    let doc = "Run a single experiment (E1-E19) instead of all of them." in
+    Arg.(value & opt (some string) None & info [ "e"; "only" ] ~docv:"ID" ~doc)
+  in
+  Cmd.v
+    (Cmd.info "experiments" ~doc:"Run every paper experiment (E1-E19)")
+    Term.(ret (const experiments $ Obs_cli.flags $ seed_arg $ jobs $ only))
+
 let cmd =
   Cmd.group
-    (Cmd.info "zc" ~doc:"compress and decompress files with the ZipChannel codecs")
+    (Cmd.info "zc"
+       ~doc:
+         "compress and decompress files with the ZipChannel codecs, and run \
+          the paper's gadget survey, attacks and experiments")
     [
       compress_cmd; decompress_cmd; archive_cmd; stream_cmd; serve_cmd;
-      leak_cmd; fuzz_cmd; obs_cmd;
+      leak_cmd; fuzz_cmd; obs_cmd; taint_cmd; attack_cmd; experiments_cmd;
     ]
 
 let () = exit (Cmd.eval cmd)

@@ -1,11 +1,9 @@
 (* Process-wide metrics, span tracing and progress reporting.
 
-   Counters/histograms are sharded: each metric owns [shards] atomic
-   slots and a domain writes slot [domain_id land (shards - 1)].  Reads
-   sum the slots.  This keeps the write path lock-free and contention
-   low under the Domain pool while staying exact (no sampling). *)
-
-let shards = 16
+   Counters/histograms are sharded: each metric owns [Slot.count] atomic
+   slots and a domain writes the slot [Slot.get] hands it.  Reads sum
+   the slots.  This keeps the write path lock-free and contention low
+   under the Domain pool while staying exact (no sampling). *)
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
@@ -13,7 +11,52 @@ let set_enabled b = Atomic.set enabled_flag b
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let shard_index () = (Domain.self () :> int) land (shards - 1)
+(* Dense per-domain slots.  Domain ids only grow and the pools spawn
+   fresh domains per call, so [id mod count] would let two live domains
+   alias; instead a domain claims the lowest free bit of [used] when it
+   first asks (DLS init) and clears it when it exits.  With every slot
+   taken, a domain shares [id mod count] for its lifetime. *)
+module Slot = struct
+  let count = 16
+  let full = (1 lsl count) - 1
+  let used = Atomic.make 0
+
+  let rec lowest_zero m i = if m land (1 lsl i) = 0 then i else lowest_zero m (i + 1)
+
+  let rec claim () =
+    let m = Atomic.get used in
+    if m = full then None
+    else
+      let i = lowest_zero m 0 in
+      if Atomic.compare_and_set used m (m lor (1 lsl i)) then Some i else claim ()
+
+  (* Only the owner clears its bit, so subtracting it is clearing it. *)
+  let release i = ignore (Atomic.fetch_and_add used (-(1 lsl i)))
+
+  let key =
+    Domain.DLS.new_key (fun () ->
+        match claim () with
+        | Some i ->
+            Domain.at_exit (fun () -> release i);
+            i
+        | None -> (Domain.self () :> int) land (count - 1))
+
+  let get () = Domain.DLS.get key
+end
+
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 module Metrics = struct
   type counter = int Atomic.t array
@@ -55,14 +98,14 @@ module Metrics = struct
 
   let counter name =
     register name
-      (fun () -> Counter (atomic_array shards))
+      (fun () -> Counter (atomic_array Slot.count))
       (function
         | Counter c -> c
         | _ -> invalid_arg ("Obs.Metrics.counter: " ^ name ^ " is not a counter"))
 
   let add c n =
     if Atomic.get enabled_flag then
-      ignore (Atomic.fetch_and_add c.(shard_index ()) n)
+      ignore (Atomic.fetch_and_add c.(Slot.get ()) n)
 
   let incr c = add c 1
 
@@ -89,10 +132,10 @@ module Metrics = struct
       (fun () ->
         Histogram
           {
-            h_count = atomic_array shards;
-            h_sum = atomic_array shards;
+            h_count = atomic_array Slot.count;
+            h_sum = atomic_array Slot.count;
             h_buckets =
-              Array.init shards (fun _ -> atomic_array buckets_per_histogram);
+              Array.init Slot.count (fun _ -> atomic_array buckets_per_histogram);
           })
       (function
         | Histogram h -> h
@@ -109,7 +152,7 @@ module Metrics = struct
 
   let observe h v =
     if Atomic.get enabled_flag then begin
-      let s = shard_index () in
+      let s = Slot.get () in
       ignore (Atomic.fetch_and_add h.h_count.(s) 1);
       ignore (Atomic.fetch_and_add h.h_sum.(s) v);
       ignore (Atomic.fetch_and_add h.h_buckets.(s).(bucket_of v) 1)
@@ -268,20 +311,6 @@ module Metrics = struct
           (approx_quantile hs 0.95))
       s.histograms
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let json_float v =
     (* JSON has no NaN/infinity literals; clamp to 0. *)
     if Float.is_nan v || Float.abs v = Float.infinity then "0"
@@ -347,17 +376,13 @@ end
    only the profiled runs pay), kept on a per-domain DLS stack, and the
    slot write itself is a single [Atomic.set] — so a concurrent ticker
    thread (lib/obs_prof) can sample every slot without stopping, locking
-   or otherwise observing the instrumented domains.  Slot index aliases
-   exactly like the metric shards (domain id mod slot count); a sample
-   attributes to whichever domain wrote its slot last, which is the
-   usual sampling-profiler approximation. *)
+   or otherwise observing the instrumented domains.  The slot index is
+   the domain's [Slot.get], like the metric shards. *)
 
 module Prof = struct
   let flag = Atomic.make false
 
-  let slot_count = shards
-
-  let slots = Array.init shards (fun _ -> Atomic.make "")
+  let slots = Array.init Slot.count (fun _ -> Atomic.make "")
 
   let stack_key : string list ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref [])
@@ -370,17 +395,15 @@ module Prof = struct
        does not attribute time to spans long since finished. *)
     if not b then Array.iter (fun s -> Atomic.set s "") slots
 
-  let slot () = shard_index ()
-
   let current_paths () = Array.map Atomic.get slots
 
-  let current_path () = Atomic.get slots.(shard_index ())
+  let current_path () = Atomic.get slots.(Slot.get ())
 
   let push name =
     let st = Domain.DLS.get stack_key in
     let path = match !st with [] -> name | p :: _ -> p ^ ";" ^ name in
     st := path :: !st;
-    Atomic.set slots.(shard_index ()) path
+    Atomic.set slots.(Slot.get ()) path
 
   let pop () =
     let st = Domain.DLS.get stack_key in
@@ -388,7 +411,7 @@ module Prof = struct
     | [] -> ()
     | _ :: rest ->
         st := rest;
-        Atomic.set slots.(shard_index ())
+        Atomic.set slots.(Slot.get ())
           (match rest with [] -> "" | p :: _ -> p)
 end
 
@@ -425,8 +448,8 @@ module Trace = struct
       let fields =
         List.map
           (fun (k, v) ->
-            Printf.sprintf "\"%s\": \"%s\"" (Metrics.json_escape k)
-              (Metrics.json_escape v))
+            Printf.sprintf "\"%s\": \"%s\"" (json_escape k)
+              (json_escape v))
           attrs
       in
       Printf.sprintf ", \"attrs\": {%s}" (String.concat ", " fields)
@@ -437,13 +460,13 @@ module Trace = struct
       Printf.sprintf
         "{\"ev\": \"b\", \"name\": \"%s\", \"domain\": %d, \"depth\": %d, \
          \"ts_ns\": %d%s}"
-        (Metrics.json_escape ev.name)
+        (json_escape ev.name)
         ev.domain ev.depth ev.ts_ns (attrs_json ev.attrs)
     | `End ->
       Printf.sprintf
         "{\"ev\": \"e\", \"name\": \"%s\", \"domain\": %d, \"depth\": %d, \
          \"ts_ns\": %d, \"dur_ns\": %d%s}"
-        (Metrics.json_escape ev.name)
+        (json_escape ev.name)
         ev.domain ev.depth ev.ts_ns ev.dur_ns (attrs_json ev.attrs)
 
   let stderr_line_of_event ev =

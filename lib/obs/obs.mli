@@ -9,8 +9,8 @@
     point is one atomic load and a predictable branch.
 
     Domain-safety: counters and histograms are sharded per domain (shard
-    index = domain id mod shard count, each shard an [Atomic.t]) and
-    merged on read, so instrumented code running under
+    index = the domain's {!Slot}, each shard an [Atomic.t]) and merged
+    on read, so instrumented code running under
     {!Zipchannel_parallel.Pool} needs no locks and [?jobs] stays
     byte-identical. *)
 
@@ -25,6 +25,32 @@ val set_enabled : bool -> unit
 val now_ns : unit -> int
 (** Monotonic clock, nanoseconds (CLOCK_MONOTONIC via the bechamel
     stub).  Only meaningful as a difference. *)
+
+module Slot : sig
+  (** Dense per-domain slot ids: the one sharding primitive behind the
+      metric shards, the {!Prof} path slots and the leak-audit rings.
+
+      A domain takes the lowest free of {!count} slots the first time it
+      asks (one CAS on a bitmask, at DLS initialisation) and frees it in
+      [Domain.at_exit], so no two live domains share a slot while at
+      most {!count} of them hold one, however large their ids grow.
+
+      While all {!count} slots are held, a further domain falls back to [domain id mod count] and shares that slot for its
+      lifetime.  Metric adds stay exact (each shard is an atomic) and
+      ring pushes stay locked, but its published span path can
+      overwrite the owner's, so the sampler may misattribute samples. *)
+
+  val count : int
+  (** 16. *)
+
+  val get : unit -> int
+  (** The calling domain's slot, [0 <= get () < count]. *)
+end
+
+val json_escape : string -> string
+(** Escape a string's content for embedding between JSON double quotes:
+    a double quote or backslash gets a backslash, newline becomes
+    [\\n] and every other control character [\\u00XX]. *)
 
 module Metrics : sig
   type counter
@@ -124,16 +150,9 @@ module Prof : sig
 
   val publishing : unit -> bool
 
-  val slot_count : int
-  (** Number of slots; domains alias into them exactly like the metric
-      shards (domain id mod slot count). *)
-
-  val slot : unit -> int
-  (** The calling domain's slot index. *)
-
   val current_paths : unit -> string array
-  (** One entry per slot: the ";"-joined span path last published by a
-      domain mapping there, or [""] when that domain is outside any
+  (** One entry per {!Slot}: the ";"-joined span path last published by
+      the domain holding it, or [""] when that domain is outside any
       span.  This is what the sampler reads each tick. *)
 
   val current_path : unit -> string

@@ -189,21 +189,7 @@ let to_str = function Str s -> Some s | _ -> None
 let to_arr = function Arr l -> Some l | _ -> None
 let to_obj = function Obj m -> Some m | _ -> None
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let quote s = "\"" ^ escape s ^ "\""
+let quote s = "\"" ^ Zipchannel_obs.Obs.json_escape s ^ "\""
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

@@ -36,11 +36,9 @@ val to_obj : t -> (string * t) list option
 
 (** {1 Writing} *)
 
-val escape : string -> string
-(** Escape a string's content for embedding between double quotes. *)
-
 val quote : string -> string
-(** [quote s] is [s] escaped and wrapped in double quotes. *)
+(** [quote s] is [s] escaped ({!Zipchannel_obs.Obs.json_escape}) and
+    wrapped in double quotes. *)
 
 val to_string : t -> string
 (** Compact serialization.  Integral numbers below 1e15 print without a

@@ -7,7 +7,7 @@
    disabled.
 
    Concurrency: records are appended to per-domain ring shards (shard =
-   domain id mod 16, each shard behind its own mutex, so the daemon's
+   the domain's [Obs.Slot], each behind its own mutex, so the daemon's
    thread-per-connection model — many threads, one domain — is also
    safe).  Sink emission and the estimators take their own locks.  The
    per-stream rolling state is unsynchronised on purpose: a stream's
@@ -41,25 +41,12 @@ type record = {
   ts_ns : int;
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jsonl_of_record r =
   Printf.sprintf
     "{\"t\": \"frame\", \"stream\": %d, \"seq\": %d, \"tag\": \"%s\", \
      \"codec\": \"%s\", \"ulen\": %d, \"clen\": %d, \"delta\": %d, \
      \"bucket\": %d, \"enc_ns\": %d, \"ts_ns\": %d}"
-    r.stream r.seq (tag_name r.tag) (json_escape r.codec) r.ulen r.clen r.delta
+    r.stream r.seq (tag_name r.tag) (Obs.json_escape r.codec) r.ulen r.clen r.delta
     r.bucket r.enc_ns r.ts_ns
 
 let n_prefix_buckets = 64
@@ -101,8 +88,6 @@ let emit_to_sink r =
 (* ------------------------------------------------------------------ *)
 (* Bounded per-domain rings *)
 
-let ring_shard_count = 16
-
 type shard = {
   mu : Mutex.t;
   mutable slots : record option array;
@@ -114,7 +99,7 @@ type shard = {
 let default_ring_capacity = 1024
 
 let shards =
-  Array.init ring_shard_count (fun _ ->
+  Array.init Obs.Slot.count (fun _ ->
       {
         mu = Mutex.create ();
         slots = Array.make default_ring_capacity None;
@@ -147,7 +132,7 @@ let ring_clear () =
     shards
 
 let ring_push r =
-  let s = shards.((Domain.self () :> int) land (ring_shard_count - 1)) in
+  let s = shards.(Obs.Slot.get ()) in
   Mutex.lock s.mu;
   let cap = Array.length s.slots in
   if s.slots.(s.next) <> None then s.evicted <- s.evicted + 1
@@ -480,11 +465,11 @@ let jsonl_of_request r =
      \"frame_size\": %d, \"req_bytes\": %d, \"resp_bytes\": %d, \
      \"frames\": %d, \"bucket\": %d, \"wall_ns\": %d, \"ts_ns\": %d, \
      \"status\": \"%s\"}"
-    r.conn (json_escape r.op)
-    (json_escape r.req_codec)
+    r.conn (Obs.json_escape r.op)
+    (Obs.json_escape r.req_codec)
     r.frame_size r.req_bytes r.resp_bytes r.frames r.req_bucket r.wall_ns
     r.ts_ns
-    (json_escape r.status)
+    (Obs.json_escape r.status)
 
 let record_request r =
   if Atomic.get enabled_flag then begin

@@ -214,7 +214,7 @@ let loop interval_s () =
 let start ?(interval_us = 1000) () =
   Mutex.lock lifecycle_mu;
   (if not (Atomic.get run_flag) then begin
-     state.anchor <- Obs.Prof.slot ();
+     state.anchor <- Obs.Slot.get ();
      state.last_stat <- Gc.quick_stat ();
      state.last_ns <- Obs.now_ns ();
      if state.start_ns = 0 then state.start_ns <- state.last_ns;
@@ -319,24 +319,6 @@ let report () =
   Mutex.unlock state.mu;
   r
 
-(* Minimal JSON string escaping — keys here are span names and folded
-   paths, but be safe anyway. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let fnum f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
@@ -350,14 +332,14 @@ let report_to_json (r : report) =
   List.iteri
     (fun i (k, n) ->
       if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (json_escape k) n))
+      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (Obs.json_escape k) n))
     r.folded;
   Buffer.add_string b "}, \"self\": {";
   List.iteri
     (fun i (name, s, t) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "\"%s\": [%d, %d]" (json_escape name) s t))
+        (Printf.sprintf "\"%s\": [%d, %d]" (Obs.json_escape name) s t))
     r.self;
   Buffer.add_string b "}, \"gc\": {";
   Buffer.add_string b
@@ -376,7 +358,7 @@ let report_to_json (r : report) =
       Buffer.add_string b
         (Printf.sprintf
            "{\"top_span\": \"%s\", \"samples\": %d, \"alloc_mb\": %s}"
-           (json_escape sl.top_span) sl.samples (fnum sl.alloc_mb)))
+           (Obs.json_escape sl.top_span) sl.samples (fnum sl.alloc_mb)))
     r.slices;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -33,6 +33,8 @@ let test_json_roundtrip () =
       Json.Num 42.;
       Json.Num (-0.125);
       Json.Str "a \"quoted\"\nline \\ with \x01 control";
+      Json.Str "cr\r tab\t nul\x00 us\x1f";
+      Json.Obj [ ("\t\x00", Json.Str "\r\x1f") ];
       Json.Arr [ Json.Num 1.; Json.Arr []; Json.Obj [] ];
       Json.Obj [ ("k", Json.Str "v"); ("n", Json.Num 7.) ];
     ]

@@ -45,6 +45,39 @@ let test_publishing_off () =
   Alcotest.(check bool) "all slots empty after disable" true
     (Array.for_all (( = ) "") (Obs.Prof.current_paths ()))
 
+(* Domain ids only grow and the pools spawn fresh domains per call, so
+   a live worker's id can equal this domain's mod 16.  Its span path
+   must land in a slot of its own, not overwrite this domain's, and its
+   slot must come free when it exits. *)
+let test_slot_no_alias () =
+  with_publishing @@ fun () ->
+  Obs.with_span "main.outer" (fun () ->
+      let me = (Domain.self () :> int) land 15 in
+      let rec burn () =
+        let d = Domain.spawn ignore in
+        let id = (Domain.get_id d :> int) in
+        Domain.join d;
+        if (id + 1) land 15 <> me then burn ()
+      in
+      burn ();
+      let worker =
+        Domain.spawn (fun () ->
+            let paths =
+              Obs.with_span "worker" (fun () ->
+                  Array.to_list (Obs.Prof.current_paths ()))
+            in
+            ((Domain.self () :> int), Obs.Slot.get (), paths))
+      in
+      let id, worker_slot, paths = Domain.join worker in
+      Alcotest.(check int) "worker id aliases this domain mod 16" me
+        (id land 15);
+      Alcotest.(check bool) "both paths published while both are live" true
+        (List.mem "main.outer" paths && List.mem "worker" paths);
+      Alcotest.(check string) "the worker's pop leaves this slot alone"
+        "main.outer" (Obs.Prof.current_path ());
+      Alcotest.(check int) "an exited domain's slot is reused" worker_slot
+        (Domain.join (Domain.spawn Obs.Slot.get)))
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic accumulation via sample_once *)
 
@@ -59,7 +92,7 @@ let test_sample_once () =
   let r = Prof.report () in
   Alcotest.(check int) "three ticks" 3 r.Prof.ticks;
   Alcotest.(check int) "three non-idle samples" 3 r.Prof.total_samples;
-  let key suffix = Printf.sprintf "domain-%d;%s" (Obs.Prof.slot ()) suffix in
+  let key suffix = Printf.sprintf "domain-%d;%s" (Obs.Slot.get ()) suffix in
   Alcotest.(check (option int)) "folded outer;inner" (Some 2)
     (List.assoc_opt (key "outer;inner") r.Prof.folded);
   Alcotest.(check (option int)) "folded outer" (Some 1)
@@ -174,7 +207,7 @@ let test_report_json () =
     (Option.is_some (Option.bind (J.member "gc" j) (J.member "minor_words")));
   let folded = Prof.folded_lines ~prefix:"case" r in
   Alcotest.(check string) "folded line carries prefix and count"
-    (Printf.sprintf "case;domain-%d;a;b 1\n" (Obs.Prof.slot ()))
+    (Printf.sprintf "case;domain-%d;a;b 1\n" (Obs.Slot.get ()))
     folded
 
 (* ------------------------------------------------------------------ *)
@@ -229,6 +262,8 @@ let suite =
       Alcotest.test_case "publication slot paths" `Quick test_slot_paths;
       Alcotest.test_case "publishing off: slots stay empty" `Quick
         test_publishing_off;
+      Alcotest.test_case "live domains never share a slot" `Quick
+        test_slot_no_alias;
       Alcotest.test_case "sample_once folds deterministically" `Quick
         test_sample_once;
       Alcotest.test_case "prof.* / runtime.* metric publication" `Quick
