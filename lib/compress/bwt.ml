@@ -5,57 +5,13 @@
    refinement rounds — and the fingerprinting attack observes exactly that
    run-time difference.
 
-   Two implementations live here.  [reference_sort_rotations_work] is the
-   original tuple-keyed [Array.sort] version, kept as the executable
-   specification of both the permutation and the work count.
-   [sort_rotations_work] produces bit-identical results without allocating:
-   the (rank, rank+k) key pair is packed into a single int, so the
-   comparator runs the exact same comparison sequence over immediate ints
-   instead of boxing two tuples per call.  [sort_rotations] — which does
-   not need the work count — ranks by counting-sort passes and performs no
-   comparisons at all. *)
-
-let reference_sort_rotations_work block =
-  let n = Bytes.length block in
-  if n = 0 then ([||], 0)
-  else begin
-    let work = ref 0 in
-    let rank = Array.init n (fun i -> Char.code (Bytes.get block i)) in
-    let perm = Array.init n (fun i -> i) in
-    let tmp = Array.make n 0 in
-    let k = ref 1 in
-    let distinct = ref false in
-    while (not !distinct) && !k < n do
-      let key i =
-        incr work;
-        (rank.(i), rank.((i + !k) mod n))
-      in
-      Array.sort (fun a b -> compare (key a) (key b)) perm;
-      (* Re-rank: equal keys share a rank. *)
-      tmp.(perm.(0)) <- 0;
-      let all_distinct = ref true in
-      for j = 1 to n - 1 do
-        let prev = perm.(j - 1) and cur = perm.(j) in
-        if key prev = key cur then begin
-          tmp.(cur) <- tmp.(prev);
-          all_distinct := false
-        end
-        else tmp.(cur) <- j
-      done;
-      Array.blit tmp 0 rank 0 n;
-      distinct := !all_distinct;
-      k := !k * 2
-    done;
-    (* Identical rotations (period divides n): order by start index for
-       determinism. *)
-    if not !distinct then
-      Array.sort
-        (fun a b ->
-          incr work;
-          match compare rank.(a) rank.(b) with 0 -> compare a b | c -> c)
-        perm;
-    (perm, !work)
-  end
+   [sort_rotations_work] is the original tuple-keyed [Array.sort]
+   version (kept in the test suite as the executable specification of
+   both the permutation and the work count) with the (rank, rank+k) key
+   pair packed into a single int: the comparator runs the exact same
+   comparison sequence over immediate ints instead of boxing two tuples
+   per call.  [sort_rotations] — which does not need the work count —
+   ranks by counting-sort passes and performs no comparisons at all. *)
 
 (* Ranks stay below n and the initial byte ranks below 256, so a
    (rank, rank') pair packs losslessly into [rank lsl 31 lor rank'] as long
@@ -89,7 +45,7 @@ let sort_rotations_work_sub ?arena block ~off ~len =
   let n = len in
   if n = 0 then ([||], 0)
   else if n >= 1 lsl 31 then
-    reference_sort_rotations_work (Bytes.sub block off len)
+    invalid_arg "Bwt.sort_rotations_work_sub: block too long to pack ranks"
   else begin
     let ints slot n =
       match arena with

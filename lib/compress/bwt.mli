@@ -27,15 +27,12 @@ val sort_rotations_work : bytes -> int array * int
 (** Also returns the number of rank comparisons performed — a
     data-dependent run-time measure (repetitive input refines for more
     rounds), which is precisely the side channel Section VI's
-    fingerprinting attack observes.  The count is bit-identical to
-    {!reference_sort_rotations_work}: the fast path packs each rank pair
-    into one int, so [Array.sort] runs the same comparison sequence
-    without boxing. *)
-
-val reference_sort_rotations_work : bytes -> int array * int
-(** The original tuple-keyed implementation, kept as the executable
-    specification of both the permutation and the work count; the test
-    suite cross-checks the fast paths against it. *)
+    fingerprinting attack observes.  The count is bit-identical to the
+    original tuple-keyed implementation, which the test suite keeps as
+    its oracle: the fast path packs each rank pair into one int, so the
+    sort runs the same comparison sequence without boxing.
+    @raise Invalid_argument on blocks of 2^31 bytes or more, whose ranks
+    do not pack. *)
 
 val sort_rotations_work_sub :
   ?arena:Zipchannel_buf.Arena.t -> bytes -> off:int -> len:int -> int array * int
@@ -45,7 +42,8 @@ val sort_rotations_work_sub :
     permutation's physical length may exceed [len] (only the first [len]
     entries are meaningful) and it is overwritten by the next sort using
     the same arena.  Permutation entries and work count are identical to
-    the whole-buffer entry points. *)
+    the whole-buffer entry points.
+    @raise Invalid_argument if [len >= 2^31]. *)
 
 val transform_with : perm:int array -> bytes -> bytes * int
 (** Last column and primary index from a precomputed rotation order.

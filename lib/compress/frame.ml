@@ -16,14 +16,12 @@
    the codec's decoder ever sees the bytes; the trailer CRC covers the
    whole plaintext end to end.
 
-   The incremental {!Encoder}/{!Decoder} state machines stage chunks in
-   buffers they allocate once (or borrow from their arena) and emit
-   [(Bigstring.t, off, len)] slices out of reused arena slots, so
-   steady-state streaming does not allocate per chunk beyond what the
-   underlying codec itself allocates. *)
+   Both directions pull their input through a [read] callback into
+   staging buffers that grow only as bytes arrive ({!fill}), so neither
+   a large [frame_size] nor a forged [clen] allocates ahead of the
+   input, and the decoder asks [read] for exactly the bytes of the unit
+   it is staging, so it never consumes input past the trailer. *)
 
-module Bigstring = Zipchannel_buf.Bigstring
-module Arena = Zipchannel_buf.Arena
 module Pipeline = Zipchannel_parallel.Pipeline
 module Obs = Zipchannel_obs.Obs
 module Leak_audit = Zipchannel_obs_leak.Leak_audit
@@ -126,314 +124,37 @@ let render_trailer ~total ~crc b =
   u32_set b 9 crc
 
 (* ------------------------------------------------------------------ *)
-(* Incremental encoder *)
+(* Staging: buffers grow with the bytes that arrive *)
 
-module Encoder = struct
-  type t = {
-    codec : codec;
-    frame_size : int;
-    emit : Bigstring.t -> off:int -> len:int -> unit;
-    arena : Arena.t;
-    pending : bytes;  (* exactly [frame_size] long, so a full chunk is
-                         handed to the codec without a copy *)
-    mutable pending_len : int;
-    mutable crc : Checksum.Crc32.t;
-    mutable total : int;
-    mutable finished : bool;
-    (* Leak audit plane: [None] unless auditing was enabled when the
-       encoder was created.  Strictly side-band — nothing below reads
-       it to decide what bytes to emit. *)
-    audit : Leak_audit.Stream.t option;
-    mutable frames : int;
-  }
+(* A staging buffer's first size, when the unit is at least this long:
+   a default-size frame fills it exactly, so the encoder's ring reaches
+   full size on its first frame and is reused from then on. *)
+let stage_min = default_frame_size
 
-  let create ?(frame_size = default_frame_size) ~codec ~emit () =
-    if frame_size < 1 || frame_size > max_frame_size then
-      invalid_arg "Frame.Encoder.create: frame_size out of range";
-    let t =
-      {
-        codec;
-        frame_size;
-        emit;
-        arena = Arena.create ();
-        pending = Bytes.create frame_size;
-        pending_len = 0;
-        crc = Checksum.Crc32.init;
-        total = 0;
-        finished = false;
-        audit =
-          (if Leak_audit.enabled () then
-             Some (Leak_audit.Stream.create ~codec:(codec_name codec) ())
-           else None);
-        frames = 0;
-      }
-    in
-    let hdr = Arena.big t.arena ~slot:0 header_len in
-    let hb = Bytes.create header_len in
-    render_header ~codec hb;
-    Bigstring.blit_of_bytes hb ~src_off:0 hdr ~dst_off:0 ~len:header_len;
-    emit hdr ~off:0 ~len:header_len;
-    t
+(* [fill read slot want] reads into [!slot] until [want] bytes have
+   arrived or [read] reports end of input (returns 0), and returns how
+   many arrived.  It never asks [read] for more than [want] bytes in
+   all, so input past the unit being staged stays unread.  [!slot] is
+   reused while it is long enough; it grows only when the bytes
+   received so far fill it, doubling from [min want stage_min] up to
+   [want], so a declared length alone never allocates more than
+   [stage_min] bytes. *)
+let fill read slot want =
+  let got = ref 0 and eof = ref false in
+  while (not !eof) && !got < want do
+    if !got = Bytes.length !slot then begin
+      let grown = Bytes.create (min want (max stage_min (2 * !got))) in
+      Bytes.blit !slot 0 grown 0 !got;
+      slot := grown
+    end;
+    let r = read !slot !got (min want (Bytes.length !slot) - !got) in
+    if r = 0 then eof := true else got := !got + r
+  done;
+  !got
 
-  (* Compress and emit whatever is pending as one frame.  The assembled
-     frame lives in arena slot 0, reused across frames. *)
-  let emit_frame t ~tag =
-    let ulen = t.pending_len in
-    (match t.audit with
-    | Some s when ulen > 0 -> Leak_audit.Stream.note_prefix s t.pending ~len:ulen
-    | _ -> ());
-    let t0 = if t.audit = None then 0 else Obs.now_ns () in
-    let payload =
-      if ulen = 0 then Bytes.empty
-      else if ulen = t.frame_size then compress_chunk t.codec t.pending
-      else compress_chunk t.codec (Bytes.sub t.pending 0 ulen)
-    in
-    let enc_ns = if t.audit = None then 0 else Obs.now_ns () - t0 in
-    let clen = if ulen = 0 then 0 else Bytes.length payload in
-    let crc = if clen = 0 then 0 else Checksum.Crc32.digest payload in
-    let flen = frame_header_len + clen in
-    let frame = Arena.big t.arena ~slot:0 flen in
-    let fh = Bytes.create frame_header_len in
-    render_frame_header ~tag ~ulen ~clen ~crc fh;
-    Bigstring.blit_of_bytes fh ~src_off:0 frame ~dst_off:0 ~len:frame_header_len;
-    if clen > 0 then
-      Bigstring.blit_of_bytes payload ~src_off:0 frame ~dst_off:frame_header_len
-        ~len:clen;
-    t.crc <- Checksum.Crc32.feed_sub t.crc t.pending ~off:0 ~len:ulen;
-    t.total <- t.total + ulen;
-    t.pending_len <- 0;
-    Obs.Metrics.incr m_enc_frames;
-    Obs.Metrics.add m_enc_bytes_in ulen;
-    Obs.Metrics.add m_enc_bytes_out flen;
-    Obs.Metrics.observe m_frame_ulen ulen;
-    (match t.audit with
-    | Some s ->
-        let atag =
-          if tag = tag_flush then Leak_audit.Flush else Leak_audit.Data
-        in
-        Leak_audit.Stream.on_frame s ~seq:t.frames ~tag:atag ~ulen ~clen ~enc_ns;
-        t.frames <- t.frames + 1
-    | None -> ());
-    t.emit frame ~off:0 ~len:flen
-
-  let check_live t op = if t.finished then invalid_arg ("Frame.Encoder." ^ op ^ ": already finished")
-
-  let feed t src ~off ~len =
-    check_live t "feed";
-    if off < 0 || len < 0 || off + len > Bigstring.length src then
-      invalid_arg "Frame.Encoder.feed: slice out of bounds";
-    let pos = ref off and rem = ref len in
-    while !rem > 0 do
-      let n = min !rem (t.frame_size - t.pending_len) in
-      Bigstring.blit_to_bytes src ~src_off:!pos t.pending ~dst_off:t.pending_len
-        ~len:n;
-      t.pending_len <- t.pending_len + n;
-      pos := !pos + n;
-      rem := !rem - n;
-      if t.pending_len = t.frame_size then emit_frame t ~tag:tag_data
-    done
-
-  let feed_bytes t src ~off ~len =
-    check_live t "feed_bytes";
-    if off < 0 || len < 0 || off + len > Bytes.length src then
-      invalid_arg "Frame.Encoder.feed_bytes: slice out of bounds";
-    let pos = ref off and rem = ref len in
-    while !rem > 0 do
-      let n = min !rem (t.frame_size - t.pending_len) in
-      Bytes.blit src !pos t.pending t.pending_len n;
-      t.pending_len <- t.pending_len + n;
-      pos := !pos + n;
-      rem := !rem - n;
-      if t.pending_len = t.frame_size then emit_frame t ~tag:tag_data
-    done
-
-  let flush t =
-    check_live t "flush";
-    emit_frame t ~tag:tag_flush
-
-  let finish t =
-    check_live t "finish";
-    if t.pending_len > 0 then emit_frame t ~tag:tag_data;
-    let tr = Arena.big t.arena ~slot:0 trailer_len in
-    let tb = Bytes.create trailer_len in
-    render_trailer ~total:t.total ~crc:(Checksum.Crc32.value t.crc) tb;
-    Bigstring.blit_of_bytes tb ~src_off:0 tr ~dst_off:0 ~len:trailer_len;
-    t.finished <- true;
-    (match t.audit with
-    | Some s ->
-        Leak_audit.Stream.on_frame s ~seq:t.frames ~tag:Leak_audit.Trailer
-          ~ulen:0 ~clen:0 ~enc_ns:0;
-        t.frames <- t.frames + 1
-    | None -> ());
-    t.emit tr ~off:0 ~len:trailer_len
-end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental decoder *)
-
-module Decoder = struct
-  type phase =
-    | Header
-    | Frame_header
-    | Payload of { tag : int; ulen : int; clen : int; crc : int }
-    | Done
-
-  type t = {
-    emit : Bigstring.t -> off:int -> len:int -> unit;
-    arena : Arena.t;
-    mutable codec : codec option;
-    mutable phase : phase;
-    mutable staged : bytes;  (* prefix of the current wire unit *)
-    mutable staged_len : int;
-    mutable consumed : int;  (* total input bytes consumed, for offsets *)
-    mutable crc : Checksum.Crc32.t;
-    mutable total : int;
-  }
-
-  let create ~emit () =
-    {
-      emit;
-      arena = Arena.create ();
-      codec = None;
-      phase = Header;
-      staged = Bytes.empty;
-      staged_len = 0;
-      consumed = 0;
-      crc = Checksum.Crc32.init;
-      total = 0;
-    }
-
-  let fail t reason = Codec_error.fail ~codec:"frame" ~offset:t.consumed reason
-
-  let need t =
-    match t.phase with
-    | Header -> header_len
-    | Frame_header -> frame_header_len
-    | Payload p -> p.clen
-    | Done -> 0
-
-  (* Grow the staging buffer to hold [n] bytes, preserving the staged
-     prefix.  The buffer comes from the arena, so across frames of
-     similar size it is reused, not reallocated; growth is bounded by
-     bytes actually received, never by a header's declared length. *)
-  let reserve t n =
-    let buf = Arena.bytes t.arena ~slot:0 n in
-    if buf != t.staged then begin
-      if t.staged_len > 0 then Bytes.blit t.staged 0 buf 0 t.staged_len;
-      t.staged <- buf
-    end
-
-  let process_header t =
-    let b = t.staged in
-    if Bytes.sub_string b 0 4 <> magic then fail t "bad magic";
-    (match codec_of_id (Char.code (Bytes.get b 4)) with
-    | None -> fail t "unknown codec id"
-    | Some c -> t.codec <- Some c);
-    if Bytes.get b 5 <> '\000' || Bytes.get b 6 <> '\000'
-       || Bytes.get b 7 <> '\000'
-    then fail t "nonzero reserved header bytes";
-    t.staged_len <- 0;
-    t.phase <- Frame_header
-
-  let process_frame_header t =
-    let b = t.staged in
-    let tag = Char.code (Bytes.get b 0) in
-    if tag = tag_end then begin
-      let total = u64_get b 1 and crc = u32_get b 9 in
-      if total <> t.total then fail t "trailer declares a different total length";
-      if crc <> Checksum.Crc32.value t.crc then
-        fail t "plaintext checksum mismatch in trailer";
-      t.staged_len <- 0;
-      t.phase <- Done
-    end
-    else if tag = tag_data || tag = tag_flush then begin
-      let ulen = u32_get b 1 and clen = u32_get b 5 and crc = u32_get b 9 in
-      if ulen > max_frame_size then fail t "frame length exceeds maximum";
-      if clen > max_frame_clen then
-        fail t "frame payload length exceeds maximum";
-      if clen = 0 && ulen <> 0 then
-        fail t "empty payload declares a nonzero length";
-      t.staged_len <- 0;
-      if clen = 0 then t.phase <- Frame_header
-      else t.phase <- Payload { tag; ulen; clen; crc }
-    end
-    else fail t "unknown frame tag"
-
-  let process_payload t ~ulen ~clen ~crc =
-    if Checksum.Crc32.digest_sub t.staged ~off:0 ~len:clen <> crc then
-      fail t "frame payload checksum mismatch";
-    let payload = Bytes.sub t.staged 0 clen in
-    let out =
-      match decompress_chunk (Option.get t.codec) payload with
-      | Ok out -> out
-      | Error e -> fail t ("frame payload: " ^ Codec_error.to_string e)
-    in
-    if Bytes.length out <> ulen then
-      fail t "frame payload decodes to a different length than declared";
-    t.crc <- Checksum.Crc32.feed_bytes t.crc out;
-    t.total <- t.total + ulen;
-    t.staged_len <- 0;
-    t.phase <- Frame_header;
-    Obs.Metrics.incr m_dec_frames;
-    Obs.Metrics.add m_dec_bytes_in (frame_header_len + clen);
-    Obs.Metrics.add m_dec_bytes_out ulen;
-    if ulen > 0 then begin
-      let big = Arena.big t.arena ~slot:1 ulen in
-      Bigstring.blit_of_bytes out ~src_off:0 big ~dst_off:0 ~len:ulen;
-      t.emit big ~off:0 ~len:ulen
-    end
-
-  let process_unit t =
-    match t.phase with
-    | Header -> process_header t
-    | Frame_header -> process_frame_header t
-    | Payload { tag = _; ulen; clen; crc } -> process_payload t ~ulen ~clen ~crc
-    | Done -> ()
-
-  (* The driving loop, parameterised over how input lands in the staging
-     buffer so the bigstring and bytes entry points share it. *)
-  let feed_gen t ~len ~blit =
-    let decode () =
-      let pos = ref 0 in
-      while !pos < len do
-        if t.phase = Done then fail t "trailing data after end-of-stream trailer";
-        let need = need t in
-        let take = min (len - !pos) (need - t.staged_len) in
-        reserve t (t.staged_len + take);
-        blit ~src_off:!pos ~dst_off:t.staged_len ~len:take;
-        t.staged_len <- t.staged_len + take;
-        t.consumed <- t.consumed + take;
-        pos := !pos + take;
-        if t.staged_len = need then process_unit t
-      done
-    in
-    match decode () with
-    | () -> Ok ()
-    | exception Codec_error.Codec_error e -> Error e
-
-  let feed t src ~off ~len =
-    if off < 0 || len < 0 || off + len > Bigstring.length src then
-      invalid_arg "Frame.Decoder.feed: slice out of bounds";
-    feed_gen t ~len ~blit:(fun ~src_off ~dst_off ~len ->
-        Bigstring.blit_to_bytes src ~src_off:(off + src_off) t.staged
-          ~dst_off ~len)
-
-  let feed_bytes t src ~off ~len =
-    if off < 0 || len < 0 || off + len > Bytes.length src then
-      invalid_arg "Frame.Decoder.feed_bytes: slice out of bounds";
-    feed_gen t ~len ~blit:(fun ~src_off ~dst_off ~len ->
-        Bytes.blit src (off + src_off) t.staged dst_off len)
-
-  let is_done t = t.phase = Done
-
-  let finish t =
-    if t.phase = Done then Ok ()
-    else
-      Codec_error.error ~codec:"frame" ~offset:t.consumed
-        "truncated frame stream"
-
-  let codec t = t.codec
-end
+(* The first [len] bytes of a staging buffer, without a copy when the
+   buffer is exactly that long. *)
+let prefix buf len = if Bytes.length buf = len then buf else Bytes.sub buf 0 len
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined streaming over read/write callbacks *)
@@ -447,6 +168,11 @@ end
 let clamp_jobs jobs =
   max 1 (min jobs (Zipchannel_parallel.Pool.available_jobs ()))
 
+(* One staging buffer per frame the pipeline can hold in flight. *)
+let ring_slots ~jobs capacity =
+  if jobs <= 1 then 1
+  else max (Option.value capacity ~default:(2 * jobs)) (jobs + 1)
+
 let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
     ~codec ~read ~write () =
   if frame_size < 1 || frame_size > max_frame_size then
@@ -455,11 +181,8 @@ let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
   let hdr = Bytes.create header_len in
   render_header ~codec hdr;
   write hdr ~off:0 ~len:header_len;
-  let slots =
-    if jobs <= 1 then 1
-    else max (Option.value capacity ~default:(2 * jobs)) (jobs + 1)
-  in
-  let chunks = Array.init slots (fun _ -> Bytes.create frame_size) in
+  let slots = ring_slots ~jobs capacity in
+  let chunks = Array.init slots (fun _ -> ref Bytes.empty) in
   let crc = ref Checksum.Crc32.init in
   let total = ref 0 in
   let eof = ref false in
@@ -477,30 +200,24 @@ let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
   let produce ~seq =
     if !eof then None
     else begin
-      let buf = chunks.(seq mod slots) in
-      (* top the chunk up until full or end of input *)
-      let got = ref 0 in
-      while (not !eof) && !got < frame_size do
-        let r = read buf !got (frame_size - !got) in
-        if r = 0 then eof := true else got := !got + r
-      done;
-      if !got = 0 then None
+      let slot = chunks.(seq mod slots) in
+      let got = fill read slot frame_size in
+      if got < frame_size then eof := true;
+      if got = 0 then None
       else begin
+        let buf = !slot in
         (match audit with
-        | Some s when seq = 0 -> Leak_audit.Stream.note_prefix s buf ~len:!got
+        | Some s when seq = 0 -> Leak_audit.Stream.note_prefix s buf ~len:got
         | _ -> ());
-        crc := Checksum.Crc32.feed_sub !crc buf ~off:0 ~len:!got;
-        total := !total + !got;
-        Some (buf, !got)
+        crc := Checksum.Crc32.feed_sub !crc buf ~off:0 ~len:got;
+        total := !total + got;
+        Some (buf, got)
       end
     end
   in
   let work (buf, len) =
     let t0 = if audit = None then 0 else Obs.now_ns () in
-    let payload =
-      if len = frame_size then compress_chunk codec buf
-      else compress_chunk codec (Bytes.sub buf 0 len)
-    in
+    let payload = compress_chunk codec (prefix buf len) in
     let enc_ns = if audit = None then 0 else Obs.now_ns () - t0 in
     (len, payload, Checksum.Crc32.digest payload, enc_ns)
   in
@@ -534,33 +251,18 @@ let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
 let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
   let jobs = clamp_jobs jobs in
   let fail ~offset reason = Codec_error.fail ~codec:"frame" ~offset reason in
-  (* Buffered pull reader over the callback. *)
-  let rbuf = Bytes.create 65536 in
-  let rpos = ref 0 and rlen = ref 0 in
   let consumed = ref 0 in
-  let refill () =
-    if !rpos = !rlen then begin
-      rlen := read rbuf 0 (Bytes.length rbuf);
-      rpos := 0
-    end;
-    !rlen > !rpos
-  in
-  (* Read exactly [len] bytes into [dst] at [off]; a short read is a
-     truncated stream. *)
-  let read_exact dst off len =
-    let got = ref 0 in
-    while !got < len do
-      if not (refill ()) then fail ~offset:(!consumed + !got) "truncated frame stream";
-      let n = min (len - !got) (!rlen - !rpos) in
-      Bytes.blit rbuf !rpos dst (off + !got) n;
-      rpos := !rpos + n;
-      got := !got + n
-    done;
-    consumed := !consumed + len
+  (* Stage exactly the [len] bytes of the next wire unit; a short read
+     is a truncated stream. *)
+  let read_exact slot len =
+    let got = fill read slot len in
+    consumed := !consumed + got;
+    if got < len then fail ~offset:!consumed "truncated frame stream"
   in
   let run () =
-    let hdr = Bytes.create header_len in
-    read_exact hdr 0 header_len;
+    let hdr = ref (Bytes.create header_len) in
+    read_exact hdr header_len;
+    let hdr = !hdr in
     if Bytes.sub_string hdr 0 4 <> magic then fail ~offset:!consumed "bad magic";
     let codec =
       match codec_of_id (Char.code (Bytes.get hdr 4)) with
@@ -570,29 +272,25 @@ let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
     if Bytes.get hdr 5 <> '\000' || Bytes.get hdr 6 <> '\000'
        || Bytes.get hdr 7 <> '\000'
     then fail ~offset:!consumed "nonzero reserved header bytes";
-    let slots =
-      if jobs <= 1 then 1
-      else max (Option.value capacity ~default:(2 * jobs)) (jobs + 1)
-    in
-    let chunks = Array.make slots Bytes.empty in
+    let slots = ring_slots ~jobs capacity in
+    let chunks = Array.init slots (fun _ -> ref Bytes.empty) in
     let crc = ref Checksum.Crc32.init in
     let total = ref 0 in
     let trailer = ref None in
-    let fh = Bytes.create frame_header_len in
+    let fh = ref (Bytes.create frame_header_len) in
     let rec produce ~seq =
       match !trailer with
       | Some _ -> None
       | None -> (
-          read_exact fh 0 frame_header_len;
-          let tag = Char.code (Bytes.get fh 0) in
+          read_exact fh frame_header_len;
+          let b = !fh in
+          let tag = Char.code (Bytes.get b 0) in
           if tag = tag_end then begin
-            trailer := Some (u64_get fh 1, u32_get fh 9);
+            trailer := Some (u64_get b 1, u32_get b 9);
             None
           end
           else if tag = tag_data || tag = tag_flush then begin
-            let ulen = u32_get fh 1
-            and clen = u32_get fh 5
-            and fcrc = u32_get fh 9 in
+            let ulen = u32_get b 1 and clen = u32_get b 5 and fcrc = u32_get b 9 in
             if ulen > max_frame_size then
               fail ~offset:!consumed "frame length exceeds maximum";
             if clen > max_frame_clen then
@@ -601,12 +299,10 @@ let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
               fail ~offset:!consumed "empty payload declares a nonzero length";
             if clen = 0 then produce ~seq (* bare flush point: nothing to do *)
             else begin
-              if Bytes.length chunks.(seq mod slots) < clen then
-                chunks.(seq mod slots) <- Bytes.create clen;
-              let buf = chunks.(seq mod slots) in
+              let slot = chunks.(seq mod slots) in
               let frame_off = !consumed in
-              read_exact buf 0 clen;
-              Some (buf, ulen, clen, fcrc, frame_off)
+              read_exact slot clen;
+              Some (!slot, ulen, clen, fcrc, frame_off)
             end
           end
           else fail ~offset:!consumed "unknown frame tag")
@@ -615,7 +311,7 @@ let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
       if Checksum.Crc32.digest_sub buf ~off:0 ~len:clen <> fcrc then
         fail ~offset:frame_off "frame payload checksum mismatch";
       let out =
-        match decompress_chunk codec (Bytes.sub buf 0 clen) with
+        match decompress_chunk codec (prefix buf clen) with
         | Ok out -> out
         | Error e ->
             fail ~offset:frame_off ("frame payload: " ^ Codec_error.to_string e)
@@ -623,13 +319,14 @@ let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
       if Bytes.length out <> ulen then
         fail ~offset:frame_off
           "frame payload decodes to a different length than declared";
-      out
+      (out, clen)
     in
-    let consume ~seq:_ out =
+    let consume ~seq:_ (out, clen) =
       let n = Bytes.length out in
       crc := Checksum.Crc32.feed_bytes !crc out;
       total := !total + n;
       Obs.Metrics.incr m_dec_frames;
+      Obs.Metrics.add m_dec_bytes_in (frame_header_len + clen);
       Obs.Metrics.add m_dec_bytes_out n;
       write out ~off:0 ~len:n
     in
@@ -649,28 +346,29 @@ let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
 (* ------------------------------------------------------------------ *)
 (* Whole-buffer convenience (and the fuzzer's 11th decode boundary) *)
 
+(* A [read] callback over [data], advancing [pos]. *)
+let bytes_reader data pos buf off len =
+  let n = min len (Bytes.length data - !pos) in
+  Bytes.blit data !pos buf off n;
+  pos := !pos + n;
+  n
+
 let compress ?frame_size ?(jobs = 1) ~codec data =
   let out = Buffer.create (Bytes.length data / 4 + 64) in
-  let pos = ref 0 in
-  let read buf off len =
-    let n = min len (Bytes.length data - !pos) in
-    Bytes.blit data !pos buf off n;
-    pos := !pos + n;
-    n
-  in
   let write b ~off ~len = Buffer.add_subbytes out b off len in
-  compress_stream ?frame_size ~jobs ~codec ~read ~write ();
+  compress_stream ?frame_size ~jobs ~codec ~read:(bytes_reader data (ref 0))
+    ~write ();
   Buffer.to_bytes out
 
 let decompress_result data =
   let out = Buffer.create (Bytes.length data + 64) in
-  let emit big ~off ~len = Buffer.add_bytes out (Bigstring.to_bytes big ~off ~len) in
-  let dec = Decoder.create ~emit () in
-  match Decoder.feed_bytes dec data ~off:0 ~len:(Bytes.length data) with
+  let pos = ref 0 in
+  let write b ~off ~len = Buffer.add_subbytes out b off len in
+  match decompress_stream ~jobs:1 ~read:(bytes_reader data pos) ~write () with
   | Error e -> Error e
-  | Ok () -> (
-      match Decoder.finish dec with
-      | Error e -> Error e
-      | Ok () -> Ok (Buffer.to_bytes out))
+  | Ok () when !pos < Bytes.length data ->
+      Codec_error.error ~codec:"frame" ~offset:!pos
+        "trailing data after end-of-stream trailer"
+  | Ok () -> Ok (Buffer.to_bytes out)
 
 let decompress data = Codec_error.unwrap (decompress_result data)

@@ -15,9 +15,8 @@
       data frame     0x01 | ulen u32 | clen u32 | crc32(payload) | payload
       flush frame    0x02 | same shape (ulen = clen = 0 allowed)
       trailer        0xFF | total ulen u64 | crc32(plaintext)
-    v} *)
-
-module Bigstring = Zipchannel_buf.Bigstring
+    v}
+    The decoders accept flush frames; {!compress_stream} emits none. *)
 
 type codec = Deflate | Gzip | Bzip2 | Lzw
 
@@ -42,72 +41,6 @@ val max_frame_size : int
 val max_frame_clen : int
 (** Largest per-frame compressed payload (128 MiB). *)
 
-(** Incremental framing compressor.
-
-    Plaintext fed in arbitrary slices is staged into [frame_size]
-    chunks; each full chunk is compressed and emitted as one frame
-    through the [emit] callback as a [(bigstring, off, len)] slice.
-    The slice borrows an internal scratch buffer that is reused for the
-    next frame — consumers must copy or write it out before returning.
-    Steady-state encoding allocates only what the underlying codec
-    itself allocates. *)
-module Encoder : sig
-  type t
-
-  val create :
-    ?frame_size:int ->
-    codec:codec ->
-    emit:(Bigstring.t -> off:int -> len:int -> unit) ->
-    unit ->
-    t
-  (** Emits the stream header immediately.  [frame_size] defaults to
-      {!default_frame_size}.
-      @raise Invalid_argument if [frame_size] is outside
-        [1 .. max_frame_size]. *)
-
-  val feed : t -> Bigstring.t -> off:int -> len:int -> unit
-  val feed_bytes : t -> bytes -> off:int -> len:int -> unit
-
-  val flush : t -> unit
-  (** Emit whatever is pending as a flush frame — even when nothing is
-      pending, marking an explicit flush point in the stream. *)
-
-  val finish : t -> unit
-  (** Emit any pending data and the end-of-stream trailer.  The encoder
-      is unusable afterwards ([Invalid_argument] on further calls). *)
-end
-
-(** Incremental framing decompressor (push-based).
-
-    Feed compressed bytes in arbitrary slices; decoded plaintext is
-    handed to [emit] one frame at a time, as slices of a reused
-    internal buffer.  Errors are reported as structured
-    {!Codec_error.t} values with [codec = "frame"] and the input offset
-    reached.  The decoder never allocates based on a declared length
-    alone: staging grows only as payload bytes actually arrive, so a
-    forged header cannot balloon memory. *)
-module Decoder : sig
-  type t
-
-  val create : emit:(Bigstring.t -> off:int -> len:int -> unit) -> unit -> t
-
-  val feed :
-    t -> Bigstring.t -> off:int -> len:int -> (unit, Codec_error.t) result
-
-  val feed_bytes :
-    t -> bytes -> off:int -> len:int -> (unit, Codec_error.t) result
-
-  val is_done : t -> bool
-  (** The trailer has been seen and verified. *)
-
-  val finish : t -> (unit, Codec_error.t) result
-  (** [Ok ()] iff the stream ended exactly at the trailer; a truncation
-      error otherwise. *)
-
-  val codec : t -> codec option
-  (** The codec named by the stream header, once parsed. *)
-end
-
 val compress_stream :
   ?frame_size:int ->
   ?jobs:int ->
@@ -127,6 +60,15 @@ val compress_stream :
     count — oversubscribed domains only add GC rendezvous — which never
     changes the output, only the wall time.
 
+    Each frame's plaintext is staged in a buffer that is reused for
+    later frames and grows only as [read] delivers bytes: it starts at
+    most 64 KiB long and doubles, up to [frame_size], each time the
+    input fills it, so a large [frame_size] costs memory only when the
+    input is that large.  How [read] slices the input never changes the
+    output.  Steady-state encoding allocates, per frame, only what the
+    underlying codec itself allocates and a few words of pipeline
+    bookkeeping.
+
     The [Deflate] codec uses the frame profile of the compressor
     (bounded match-chain walk): decoding interoperates with every
     conforming inflate, but framed deflate output differs from (and is
@@ -140,15 +82,22 @@ val decompress_stream :
   unit ->
   (unit, Codec_error.t) result
 (** Inverse of {!compress_stream}, with the same pipelining contract.
-    Stops reading right after the trailer; bytes past it are the
-    caller's. *)
+    Errors are structured {!Codec_error.t} values with
+    [codec = "frame"] and the input offset reached.
+
+    Each wire unit is pulled with [read] requests for exactly its
+    remaining bytes, so reading stops right after the trailer; bytes
+    past it are the caller's.  The decoder never allocates on a
+    declared length alone: a payload's staging buffer starts at most
+    64 KiB long and grows only as payload bytes actually arrive, so a
+    forged [clen] cannot balloon memory. *)
 
 val compress : ?frame_size:int -> ?jobs:int -> codec:codec -> bytes -> bytes
 (** Whole-buffer convenience over {!compress_stream}. *)
 
 val decompress_result : bytes -> (bytes, Codec_error.t) result
-(** Whole-buffer strict decode through {!Decoder}: trailing bytes after
-    the trailer are an error. *)
+(** Whole-buffer strict decode: {!decompress_stream} at [jobs = 1]
+    over the buffer, where bytes after the trailer are an error. *)
 
 val decompress : bytes -> bytes
 (** @raise Failure on malformed input (via {!Codec_error.unwrap}). *)

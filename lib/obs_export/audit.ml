@@ -30,7 +30,6 @@ let of_json json =
       let tag =
         match get_str "tag" json with
         | "data" -> Leak_audit.Data
-        | "flush" -> Leak_audit.Flush
         | "trailer" -> Leak_audit.Trailer
         | t -> failwith ("audit record: unknown tag " ^ t)
       in

@@ -6,7 +6,7 @@
     by the ["t"] member: [{"t": "frame", ...}] per emitted frame and
     [{"t": "request", ...}] per daemon request.  Both map onto the span
     shapes the rest of the exporter stack already speaks: a frame
-    becomes a span named [frame.data]/[frame.flush]/[frame.trailer]
+    becomes a span named [frame.data]/[frame.trailer]
     whose duration is its encode wall time and whose domain is its
     stream id; a request becomes a [serve.request] span over its wall
     time on domain [conn].  Lengths, deltas and buckets ride along as

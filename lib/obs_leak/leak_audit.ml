@@ -24,9 +24,9 @@ let set_enabled b = Atomic.set enabled_flag b
 (* ------------------------------------------------------------------ *)
 (* Records *)
 
-type tag = Data | Flush | Trailer
+type tag = Data | Trailer
 
-let tag_name = function Data -> "data" | Flush -> "flush" | Trailer -> "trailer"
+let tag_name = function Data -> "data" | Trailer -> "trailer"
 
 type record = {
   stream : int;
@@ -150,7 +150,7 @@ let evicted () =
       acc + e)
     0 shards
 
-let tag_rank = function Data -> 0 | Flush -> 0 | Trailer -> 1
+let tag_rank = function Data -> 0 | Trailer -> 1
 
 let ring_records () =
   let all = ref [] in
@@ -174,7 +174,6 @@ let ring_records () =
 (* Obs metrics (registered once; recording additionally gated on Obs) *)
 
 let m_frames = Obs.Metrics.counter "leak.audit.frames"
-let m_flush = Obs.Metrics.counter "leak.audit.flush_frames"
 let m_streams = Obs.Metrics.counter "leak.audit.streams"
 let m_delta_abs = Obs.Metrics.histogram "leak.audit.clen_delta_abs"
 let m_enc_ns = Obs.Metrics.histogram "leak.audit.enc_ns"
@@ -398,7 +397,7 @@ module Stream = struct
   let on_frame t ~seq ~tag ~ulen ~clen ~enc_ns =
     let delta =
       match tag with
-      | Data | Flush when ulen > 0 ->
+      | Data when ulen > 0 ->
           let d =
             if t.data_frames = 0 then 0 else clen - ((t.baseline8 + 4) / 8)
           in
@@ -425,12 +424,7 @@ module Stream = struct
     in
     ring_push r;
     emit_to_sink r;
-    (match tag with
-    | Data -> Obs.Metrics.incr m_frames
-    | Flush ->
-        Obs.Metrics.incr m_frames;
-        Obs.Metrics.incr m_flush
-    | Trailer -> ());
+    if tag = Data then Obs.Metrics.incr m_frames;
     if tag <> Trailer && ulen > 0 then begin
       Obs.Metrics.observe m_delta_abs (abs delta);
       Obs.Metrics.observe m_enc_ns enc_ns;

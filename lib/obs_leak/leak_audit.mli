@@ -1,12 +1,12 @@
 (** Leak audit plane: per-frame leakage telemetry for the streaming
     compressors.
 
-    The frame layer makes per-frame compressed lengths and flush timing
-    visible on the wire — exactly the observable a CRIME/BREACH-style
-    adversary uses.  {!Zipchannel_obs.Obs} measures {e performance};
+    The frame layer makes per-frame compressed lengths visible on the
+    wire — exactly the observable a CRIME/BREACH-style adversary uses.
+    {!Zipchannel_obs.Obs} measures {e performance};
     this module measures {e leakage}: one structured {!record} per
     emitted frame (lengths, length delta against a per-stream rolling
-    baseline, encode wall time, flush/trailer markers), collected in
+    baseline, encode wall time, trailer markers), collected in
     bounded per-domain ring buffers and optionally streamed to a JSONL
     audit sink, with online estimators quantifying — live, in bits per
     frame — how much the length side channel gives away.
@@ -24,10 +24,10 @@ val set_enabled : bool -> unit
 
 (** {1 Audit records} *)
 
-type tag = Data | Flush | Trailer
+type tag = Data | Trailer
 
 val tag_name : tag -> string
-(** ["data"], ["flush"], ["trailer"]. *)
+(** ["data"], ["trailer"]. *)
 
 type record = {
   stream : int;  (** process-unique stream id, from {!Stream.create} *)

@@ -1,6 +1,7 @@
 (* Reference implementations kept only as test oracles: the straightforward
    versions the optimized library code replaced.  The differential tests in
-   test_oracles.ml pin the library to them, output for output. *)
+   test_oracles.ml and test_fastpath.ml pin the library to them, output for
+   output. *)
 
 (* [Huffman.lengths_of_freqs] as it was with a heap of boxed
    (weight, node id) tuples, a parent walk per symbol for the depths, and
@@ -168,4 +169,51 @@ module Mtf_ref = struct
       Bytes.set out i (Char.chr c)
     done;
     out
+end
+
+(* [Bwt.sort_rotations_work] as it was: prefix doubling with a
+   tuple-keyed [Array.sort], the executable specification of both the
+   permutation and the attack-visible work count. *)
+module Bwt_ref = struct
+  let sort_rotations_work block =
+    let n = Bytes.length block in
+    if n = 0 then ([||], 0)
+    else begin
+      let work = ref 0 in
+      let rank = Array.init n (fun i -> Char.code (Bytes.get block i)) in
+      let perm = Array.init n (fun i -> i) in
+      let tmp = Array.make n 0 in
+      let k = ref 1 in
+      let distinct = ref false in
+      while (not !distinct) && !k < n do
+        let key i =
+          incr work;
+          (rank.(i), rank.((i + !k) mod n))
+        in
+        Array.sort (fun a b -> compare (key a) (key b)) perm;
+        (* Re-rank: equal keys share a rank. *)
+        tmp.(perm.(0)) <- 0;
+        let all_distinct = ref true in
+        for j = 1 to n - 1 do
+          let prev = perm.(j - 1) and cur = perm.(j) in
+          if key prev = key cur then begin
+            tmp.(cur) <- tmp.(prev);
+            all_distinct := false
+          end
+          else tmp.(cur) <- j
+        done;
+        Array.blit tmp 0 rank 0 n;
+        distinct := !all_distinct;
+        k := !k * 2
+      done;
+      (* Identical rotations (period divides n): order by start index for
+         determinism. *)
+      if not !distinct then
+        Array.sort
+          (fun a b ->
+            incr work;
+            match compare rank.(a) rank.(b) with 0 -> compare a b | c -> c)
+          perm;
+      (perm, !work)
+    end
 end

@@ -11,7 +11,7 @@ open Zipchannel_util
 module C = Zipchannel_compress
 module Frame = C.Frame
 module Pipeline = Zipchannel_parallel.Pipeline
-module Bigstring = Zipchannel_buf.Bigstring
+module Obs = Zipchannel_obs.Obs
 
 let all_codecs = Frame.[ Deflate; Gzip; Bzip2; Lzw ]
 let chunk_sizes = [ 1; 7; 4096; 65536 ]
@@ -59,21 +59,33 @@ let test_jobs_byte_identical () =
     all_codecs
 
 (* ------------------------------------------------------------------ *)
-(* Encoder: chunked feeds agree with the whole-buffer compressor *)
+(* Streaming: how [read] slices the input is unobservable *)
 
-let encode_chunked ~chunk ~frame_size ~codec data =
+(* A [read] callback over [data] that hands out at most [chunk] bytes per
+   call, however many are asked for; [pos] counts the bytes handed out. *)
+let reader_of_bytes ?(chunk = max_int) ?pos data =
+  let pos = Option.value pos ~default:(ref 0) in
+  fun buf off len ->
+    let n = min (min chunk len) (Bytes.length data - !pos) in
+    Bytes.blit data !pos buf off n;
+    pos := !pos + n;
+    n
+
+let encode_chunked ?jobs ?chunk ~frame_size ~codec data =
   let out = Buffer.create 256 in
-  let emit big ~off ~len = Buffer.add_bytes out (Bigstring.to_bytes big ~off ~len) in
-  let enc = Frame.Encoder.create ~frame_size ~codec ~emit () in
-  let n = Bytes.length data in
-  let pos = ref 0 in
-  while !pos < n do
-    let take = min chunk (n - !pos) in
-    Frame.Encoder.feed_bytes enc data ~off:!pos ~len:take;
-    pos := !pos + take
-  done;
-  Frame.Encoder.finish enc;
+  Frame.compress_stream ~frame_size ?jobs ~codec
+    ~read:(reader_of_bytes ?chunk data)
+    ~write:(fun b ~off ~len -> Buffer.add_subbytes out b off len)
+    ();
   Buffer.to_bytes out
+
+let decode_chunked ?jobs ?chunk ?pos packed =
+  let out = Buffer.create 256 in
+  Frame.decompress_stream ?jobs
+    ~read:(reader_of_bytes ?chunk ?pos packed)
+    ~write:(fun b ~off ~len -> Buffer.add_subbytes out b off len)
+    ()
+  |> Result.map (fun () -> Buffer.to_bytes out)
 
 let test_encoder_chunking_invariant () =
   let data = lipsum 50_000 in
@@ -88,24 +100,6 @@ let test_encoder_chunking_invariant () =
             (encode_chunked ~chunk ~frame_size:4096 ~codec data))
         chunk_sizes)
     all_codecs
-
-(* ------------------------------------------------------------------ *)
-(* Decoder: chunked feeds, flush frames, error shapes *)
-
-let decode_chunked ~chunk packed =
-  let out = Buffer.create 256 in
-  let emit big ~off ~len = Buffer.add_bytes out (Bigstring.to_bytes big ~off ~len) in
-  let dec = Frame.Decoder.create ~emit () in
-  let n = Bytes.length packed in
-  let rec go pos =
-    if pos >= n then Frame.Decoder.finish dec
-    else
-      let take = min chunk (n - pos) in
-      match Frame.Decoder.feed_bytes dec packed ~off:pos ~len:take with
-      | Error _ as e -> e
-      | Ok () -> go (pos + take)
-  in
-  Result.map (fun () -> Buffer.to_bytes out) (go 0)
 
 let test_decoder_chunking_invariant () =
   let data = lipsum 50_000 in
@@ -125,20 +119,35 @@ let test_decoder_chunking_invariant () =
         chunk_sizes)
     all_codecs
 
+(* No encoder emits flush frames, so build one by hand: retag the first
+   data frame 0x02 and follow it with a bare 13-byte flush point. *)
 let test_flush_points_roundtrip () =
-  let out = Buffer.create 256 in
-  let emit big ~off ~len = Buffer.add_bytes out (Bigstring.to_bytes big ~off ~len) in
-  let enc = Frame.Encoder.create ~frame_size:64 ~codec:Frame.Lzw ~emit () in
   let a = Bytes.of_string "first part " and b = Bytes.of_string "second part" in
-  Frame.Encoder.feed_bytes enc a ~off:0 ~len:(Bytes.length a);
-  Frame.Encoder.flush enc;
-  Frame.Encoder.flush enc;
-  (* an empty flush point must also be representable *)
-  Frame.Encoder.feed_bytes enc b ~off:0 ~len:(Bytes.length b);
-  Frame.Encoder.finish enc;
-  Alcotest.(check bytes) "flush-framed stream decodes"
-    (Bytes.cat a b)
-    (Frame.decompress (Buffer.to_bytes out))
+  let plain = Bytes.cat a b in
+  let packed =
+    Frame.compress ~frame_size:(Bytes.length a) ~codec:Frame.Lzw plain
+  in
+  let first_end =
+    Frame.header_len + Frame.frame_header_len
+    + Int32.to_int (Bytes.get_int32_le packed (Frame.header_len + 5))
+  in
+  let flushed = Bytes.sub packed 0 first_end in
+  Bytes.set flushed Frame.header_len '\x02';
+  let bare = Bytes.make Frame.frame_header_len '\000' in
+  Bytes.set bare 0 '\x02';
+  let rest = Bytes.sub packed first_end (Bytes.length packed - first_end) in
+  let stream = Bytes.concat Bytes.empty [ flushed; bare; rest ] in
+  Alcotest.(check bytes) "decompress_result" plain (Frame.decompress stream);
+  List.iter
+    (fun jobs ->
+      match decode_chunked ~jobs stream with
+      | Ok out ->
+          Alcotest.(check bytes)
+            (Printf.sprintf "decompress_stream jobs=%d" jobs)
+            plain out
+      | Error e ->
+          Alcotest.failf "jobs=%d: %s" jobs (C.Codec_error.to_string e))
+    [ 1; 2 ]
 
 let check_error ~reason packed =
   match Frame.decompress_result packed with
@@ -188,37 +197,74 @@ let test_decoder_errors () =
 (* ------------------------------------------------------------------ *)
 (* Streaming entry points *)
 
-let reader_of_bytes data =
-  let pos = ref 0 in
-  fun buf off len ->
-    let n = min len (Bytes.length data - !pos) in
-    Bytes.blit data !pos buf off n;
-    pos := !pos + n;
-    n
-
 let test_stream_roundtrip_jobs () =
   let data = lipsum 200_000 in
   List.iter
     (fun jobs ->
-      let out = Buffer.create 256 in
-      Frame.compress_stream ~frame_size:8192 ~jobs ~codec:Frame.Gzip
-        ~read:(reader_of_bytes data)
-        ~write:(fun b ~off ~len -> Buffer.add_subbytes out b off len)
-        ();
-      let packed = Buffer.to_bytes out in
-      let plain = Buffer.create 256 in
-      match
-        Frame.decompress_stream ~jobs
-          ~read:(reader_of_bytes packed)
-          ~write:(fun b ~off ~len -> Buffer.add_subbytes plain b off len)
-          ()
-      with
+      let packed = encode_chunked ~jobs ~frame_size:8192 ~codec:Frame.Gzip data in
+      match decode_chunked ~jobs packed with
       | Error e -> Alcotest.failf "jobs=%d: %s" jobs (C.Codec_error.to_string e)
-      | Ok () ->
+      | Ok plain ->
           Alcotest.(check bytes)
             (Printf.sprintf "jobs=%d stream roundtrip" jobs)
-            data (Buffer.to_bytes plain))
+            data plain)
     [ 1; 4 ]
+
+(* The daemon reads a request's frame stream off a socket that may carry
+   more; the decoder must hand back the socket positioned right after
+   the trailer. *)
+let test_stream_stops_at_trailer () =
+  let data = lipsum 20_000 in
+  let packed = Frame.compress ~frame_size:4096 ~codec:Frame.Deflate data in
+  let wire = Bytes.cat packed (Bytes.of_string "the next request") in
+  List.iter
+    (fun (jobs, chunk) ->
+      let pos = ref 0 in
+      match decode_chunked ~jobs ~chunk ~pos wire with
+      | Error e ->
+          Alcotest.failf "jobs=%d chunk=%d: %s" jobs chunk
+            (C.Codec_error.to_string e)
+      | Ok plain ->
+          Alcotest.(check bytes) "plaintext" data plain;
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d chunk=%d reads up to the trailer" jobs chunk)
+            (Bytes.length packed) !pos)
+    [ (1, max_int); (1, 7); (2, max_int) ]
+
+(* Every frame the encoder counts out, the decoder counts back in. *)
+let test_counter_parity () =
+  let value name =
+    Obs.Metrics.counter_value (Obs.Metrics.counter ("kernel.frame." ^ name))
+  in
+  Obs.Metrics.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.Metrics.reset ())
+  @@ fun () ->
+  let data = lipsum 40_000 in
+  List.iter
+    (fun jobs ->
+      Obs.Metrics.reset ();
+      let packed =
+        encode_chunked ~jobs ~frame_size:4096 ~codec:Frame.Deflate data
+      in
+      (match decode_chunked ~jobs packed with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "jobs=%d: %s" jobs (C.Codec_error.to_string e));
+      let label what = Printf.sprintf "jobs=%d %s" jobs what in
+      Alcotest.(check int) (label "frames encoded") 10 (value "enc_frames");
+      Alcotest.(check int) (label "bytes encoded")
+        (Bytes.length packed - Frame.header_len - Frame.trailer_len)
+        (value "enc_bytes_out");
+      Alcotest.(check int) (label "dec_frames = enc_frames")
+        (value "enc_frames") (value "dec_frames");
+      Alcotest.(check int) (label "dec_bytes_in = enc_bytes_out")
+        (value "enc_bytes_out") (value "dec_bytes_in");
+      Alcotest.(check int) (label "dec_bytes_out = enc_bytes_in")
+        (value "enc_bytes_in") (value "dec_bytes_out"))
+    [ 1; 2 ]
 
 let qcheck_frame_roundtrip =
   QCheck.Test.make ~name:"framed compress/decompress is the identity"
@@ -248,12 +294,7 @@ let qcheck_stream_jobs_identical =
     (fun s ->
       let data = Bytes.of_string s in
       let run jobs =
-        let out = Buffer.create 256 in
-        Frame.compress_stream ~frame_size:1024 ~jobs ~codec:Frame.Deflate
-          ~read:(reader_of_bytes data)
-          ~write:(fun b ~off ~len -> Buffer.add_subbytes out b off len)
-          ();
-        Buffer.to_bytes out
+        encode_chunked ~jobs ~frame_size:1024 ~codec:Frame.Deflate data
       in
       Bytes.equal (run 1) (run 4))
 
@@ -362,6 +403,9 @@ let suite =
       Alcotest.test_case "decoder errors" `Quick test_decoder_errors;
       Alcotest.test_case "stream roundtrip at jobs" `Quick
         test_stream_roundtrip_jobs;
+      Alcotest.test_case "stream stops at the trailer" `Quick
+        test_stream_stops_at_trailer;
+      Alcotest.test_case "counter parity" `Quick test_counter_parity;
       QCheck_alcotest.to_alcotest qcheck_frame_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_stream_jobs_identical;
       Alcotest.test_case "pipeline order/identity" `Quick

@@ -209,15 +209,86 @@ let truncation_reports_codec_and_offset () =
    ~2^31-byte output; the decoder must error fast with < 1 MB
    allocated. *)
 
-let cheap_reject name decode input =
+let check_cheap name what f =
   let before = Gc.allocated_bytes () in
-  (match decode input with
-  | Ok (_ : bytes) -> Alcotest.failf "%s: bomb decoded" name
-  | Error (_ : Compress.Codec_error.t) -> ());
+  f ();
   let allocated = Gc.allocated_bytes () -. before in
   if allocated > 1_048_576. then
-    Alcotest.failf "%s: rejected only after allocating %.0f bytes" name
+    Alcotest.failf "%s: %s only after allocating %.0f bytes" name what
       allocated
+
+let cheap_reject name decode input =
+  check_cheap name "rejected" (fun () ->
+      match decode input with
+      | Ok (_ : bytes) -> Alcotest.failf "%s: bomb decoded" name
+      | Error (_ : Compress.Codec_error.t) -> ())
+
+let read_from data =
+  let pos = ref 0 in
+  fun buf off len ->
+    let n = min len (Bytes.length data - !pos) in
+    Bytes.blit data !pos buf off n;
+    pos := !pos + n;
+    n
+
+let frame_clen_bomb () =
+  (* "ZCF1" | deflate | one data-frame header declaring the largest
+     payload the format admits (2^27 - 1 bytes) | 16 payload bytes, then
+     end of input.  Every frame decoder — the daemon's streaming one at
+     any jobs and the whole-buffer one the fuzzer drives — must call it
+     truncated without staging the declared payload. *)
+  let module Frame = Compress.Frame in
+  let bomb = Bytes.make 37 '\x5a' in
+  Bytes.blit_string "ZCF1\000\000\000\000" 0 bomb 0 Frame.header_len;
+  Bytes.set bomb 4 (Char.chr (Frame.codec_id Frame.Deflate));
+  Bytes.set bomb 8 '\x01';
+  Bytes.set_int32_le bomb 9 (Int32.of_int Frame.max_frame_size);
+  Bytes.set_int32_le bomb 13 (Int32.of_int (Frame.max_frame_clen - 1));
+  Bytes.set_int32_le bomb 17 0l;
+  let stream jobs input =
+    let out = Buffer.create 64 in
+    Frame.decompress_stream ~jobs ~read:(read_from input)
+      ~write:(fun b ~off ~len -> Buffer.add_subbytes out b off len)
+      ()
+    |> Result.map (fun () -> Buffer.to_bytes out)
+  in
+  (* Each case runs once before it is measured: the first domain spawn
+     after other domains have run bumps the caller's allocation counters
+     by up to ~1.3 MB, a no-op [Domain.spawn] included, and only once. *)
+  List.iter
+    (fun (name, decode) ->
+      (match decode bomb with
+      | Error e ->
+          Alcotest.(check bool) (name ^ " calls it truncated") true
+            (contains e.Compress.Codec_error.reason "truncated")
+      | Ok _ -> Alcotest.failf "%s: bomb decoded" name);
+      cheap_reject name decode bomb)
+    [
+      ("frame decompress_stream jobs 1", stream 1);
+      ("frame decompress_stream jobs 2", stream 2);
+      ("frame decompress_result", Frame.decompress_result);
+    ]
+
+let frame_size_bound () =
+  (* [zc serve] takes [frame_size] from the client's request header, up
+     to the format's 64 MiB ceiling: a 1-byte request must not pay for
+     the frame it never fills. *)
+  let module Frame = Compress.Frame in
+  List.iter
+    (fun jobs ->
+      let compress () =
+        Frame.compress_stream ~frame_size:Frame.max_frame_size ~jobs
+          ~codec:Frame.Deflate
+          ~read:(read_from (Bytes.of_string "x"))
+          ~write:(fun _ ~off:_ ~len:_ -> ())
+          ()
+      in
+      (* unmeasured first run, as in [frame_clen_bomb] *)
+      compress ();
+      check_cheap
+        (Printf.sprintf "frame compress_stream jobs %d" jobs)
+        "compressed 1 byte" compress)
+    [ 1; 2 ]
 
 let lzw_bomb () =
   (* 16-bit LSB low half then high half: declares 0x7fffffff bytes from
@@ -503,6 +574,10 @@ let suite =
         rle2_max_output_respected;
       Alcotest.test_case "archive forged count rejected cheaply" `Quick
         archive_forged_count;
+      Alcotest.test_case "frame forged clen rejected cheaply" `Quick
+        frame_clen_bomb;
+      Alcotest.test_case "frame size staged as bytes arrive" `Quick
+        frame_size_bound;
       Alcotest.test_case "huffman golden stream" `Quick huffman_golden;
       Alcotest.test_case "fuzz fixtures stay fixed" `Quick fixtures_stay_fixed;
       Alcotest.test_case "no Out_of_bits in public interfaces" `Quick
