@@ -26,7 +26,44 @@ let text_1m =
 
 let random_4k = Prng.bytes (Prng.create ~seed:43 ()) 4096
 
+let random_1m = lazy (Prng.bytes (Prng.create ~seed:51 ()) 1_048_576)
+
 let staged = Bechamel.Staged.stage
+
+(* A decode case: [decode] of [encode input], where [input] is [bytes]
+   long.  The encoded input is built on the case's first call, so that
+   only the decode is timed (see [run_bench]). *)
+let decode_case name ~bytes input encode decode =
+  let packed = lazy (encode (Lazy.force input)) in
+  (name, bytes, fun () -> ignore (decode (Lazy.force packed)))
+
+(* Decompress at 10 kB and 1 MiB of text for each codec. *)
+let decode_cases =
+  List.concat_map
+    (fun (codec, encode, decode) ->
+      [
+        decode_case (codec ^ "/decompress-10k-text") ~bytes:10_000
+          (Lazy.from_val text_10k) encode decode;
+        decode_case (codec ^ "/decompress-1m-text") ~bytes:1_048_576
+          (Lazy.from_val text_1m) encode decode;
+      ])
+    [
+      ("deflate", (fun b -> Compress.Deflate.compress b), Compress.Deflate.decompress);
+      ("lzw", Compress.Lzw.compress, Compress.Lzw.decompress);
+      ("lz4", Compress.Lz4.compress, Compress.Lz4.decompress);
+      ("snappy", Compress.Snappy.compress, Compress.Snappy.decompress);
+      ("huffman", Compress.Huffman.encode, Compress.Huffman.decode);
+      ("bzip2", (fun b -> Compress.Bzip2.compress b), Compress.Bzip2.decompress);
+    ]
+  @ [
+      decode_case "frame/deflate-decompress-1m-jobs1" ~bytes:1_048_576
+        (Lazy.from_val text_1m)
+        (fun b -> Frame.compress ~codec:Frame.Deflate b)
+        Frame.decompress;
+      decode_case "bzip2/decompress-1m-random" ~bytes:1_048_576 random_1m
+        (fun b -> Compress.Bzip2.compress b)
+        Compress.Bzip2.decompress;
+    ]
 
 (* Each case is (name, bytes_per_run, thunk): Bechamel times the thunk,
    then a single extra instrumented run captures the case's Obs metric
@@ -122,6 +159,7 @@ let bench_cases : (string * int * (unit -> unit)) list =
           (Compress.Container.Archive.pack
              [ { Compress.Container.Archive.name = "f"; data = text_10k } ]));
   ]
+  @ decode_cases
 
 let bench_tests =
   List.map
@@ -245,6 +283,13 @@ let run_bench ?(only = []) () =
           (fun elt ->
             if not (selected ~only (Test.Elt.name elt)) then None
             else begin
+            (* One untimed call first: a decode case builds its encoded
+               input on its first call. *)
+            (match
+               List.find_opt (fun (n, _, _) -> n = Test.Elt.name elt) bench_cases
+             with
+            | Some (_, _, fn) -> fn ()
+            | None -> ());
             let raw =
               Benchmark.run cfg [ Toolkit.Instance.monotonic_clock ] elt
             in

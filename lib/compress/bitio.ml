@@ -215,6 +215,29 @@ module Lsb_reader = struct
     t.pos <- t.pos + 1;
     bit = 1
 
+  let[@inline never] gather_tail t count =
+    let byte0 = t.pos lsr 3 and bit = t.pos land 7 in
+    let nbytes = (bit + count + 7) lsr 3 in
+    let w = ref 0 in
+    for k = nbytes - 1 downto 0 do
+      w := (!w lsl 8) lor Char.code (Bytes.unsafe_get t.data (byte0 + k))
+    done;
+    (!w lsr bit) land ((1 lsl count) - 1)
+
+  (* The [count] (0..24) bits at [pos], which the caller has checked lie
+     inside [limit]. *)
+  let[@inline] gather t count =
+    let byte0 = t.pos lsr 3 in
+    if byte0 + 8 <= Bytes.length t.data then
+      (* One unaligned little-endian load covers the 0..31 bits needed;
+         bits past the slice are shifted or masked away. *)
+      Int64.to_int
+        (Int64.shift_right_logical
+           (Bigstring.bytes_get64u t.data byte0)
+           (t.pos land 7))
+      land ((1 lsl count) - 1)
+    else gather_tail t count
+
   let read_bits t count =
     if count < 0 || count > 24 then invalid_arg "Bitio.Lsb_reader.read_bits";
     if count = 0 then 0
@@ -225,23 +248,28 @@ module Lsb_reader = struct
         t.pos <- t.limit;
         raise Out_of_bits
       end;
-      let byte0 = t.pos lsr 3 and bit = t.pos land 7 in
+      let v = gather t count in
       t.pos <- t.pos + count;
-      if byte0 + 8 <= Bytes.length t.data then
-        (* One unaligned little-endian load covers the 0..31 bits
-           needed; bits past the slice are shifted or masked away. *)
-        Int64.to_int
-          (Int64.shift_right_logical (Bigstring.bytes_get64u t.data byte0) bit)
-        land ((1 lsl count) - 1)
-      else begin
-        let nbytes = (bit + count + 7) lsr 3 in
-        let w = ref 0 in
-        for k = nbytes - 1 downto 0 do
-          w := (!w lsl 8) lor Char.code (Bytes.unsafe_get t.data (byte0 + k))
-        done;
-        (!w lsr bit) land ((1 lsl count) - 1)
-      end
+      v
     end
+
+  (* Later stream bits are the value's higher bits, so the bits past
+     [limit] that a short peek lacks are already the zero padding. *)
+  let[@inline never] peek_short t =
+    let avail = t.limit - t.pos in
+    if avail <= 0 then 0 else gather_tail t avail
+
+  let[@inline] peek t count =
+    if count < 0 || count > 15 then invalid_arg "Bitio.Lsb_reader.peek";
+    if t.limit - t.pos >= count then gather t count else peek_short t
+
+  let[@inline] skip t count =
+    if count < 0 then invalid_arg "Bitio.Lsb_reader.skip";
+    if t.pos + count > t.limit then begin
+      t.pos <- t.limit;
+      raise Out_of_bits
+    end;
+    t.pos <- t.pos + count
 
   let align_byte t = if t.pos land 7 <> 0 then t.pos <- (t.pos lor 7) + 1
 
@@ -274,6 +302,27 @@ module Reader = struct
     t.pos <- t.pos + 1;
     bit = 1
 
+  let[@inline never] gather_tail t count =
+    let byte0 = t.pos lsr 3 and bit = t.pos land 7 in
+    let nbytes = (bit + count + 7) lsr 3 in
+    let w = ref 0 in
+    for k = 0 to nbytes - 1 do
+      w := (!w lsl 8) lor Char.code (Bytes.unsafe_get t.data (byte0 + k))
+    done;
+    (!w lsr ((8 * nbytes) - bit - count)) land ((1 lsl count) - 1)
+
+  (* The [count] (0..30) bits at [pos], which the caller has checked lie
+     inside [limit]. *)
+  let[@inline] gather t count =
+    let byte0 = t.pos lsr 3 in
+    if byte0 + 8 <= Bytes.length t.data then
+      (* One unaligned load, byte-swapped so the first byte in memory
+         is most significant, mirroring the MSB-first stream order. *)
+      let w = bswap64 (Bigstring.bytes_get64u t.data byte0) in
+      Int64.to_int (Int64.shift_right_logical w (64 - (t.pos land 7) - count))
+      land ((1 lsl count) - 1)
+    else gather_tail t count
+
   let read_bits_msb t count =
     if count < 0 || count > 30 then invalid_arg "Bitio.read_bits_msb: count";
     if count = 0 then 0
@@ -282,23 +331,28 @@ module Reader = struct
         t.pos <- t.limit;
         raise Out_of_bits
       end;
-      let byte0 = t.pos lsr 3 and bit = t.pos land 7 in
+      let v = gather t count in
       t.pos <- t.pos + count;
-      if byte0 + 8 <= Bytes.length t.data then
-        (* One unaligned load, byte-swapped so the first byte in memory
-           is most significant, mirroring the MSB-first stream order. *)
-        let w = bswap64 (Bigstring.bytes_get64u t.data byte0) in
-        Int64.to_int (Int64.shift_right_logical w (64 - bit - count))
-        land ((1 lsl count) - 1)
-      else begin
-        let nbytes = (bit + count + 7) lsr 3 in
-        let w = ref 0 in
-        for k = 0 to nbytes - 1 do
-          w := (!w lsl 8) lor Char.code (Bytes.unsafe_get t.data (byte0 + k))
-        done;
-        (!w lsr ((8 * nbytes) - bit - count)) land ((1 lsl count) - 1)
-      end
+      v
     end
+
+  (* A short peek gathers the bits that are left and shifts them up,
+     leaving the zero padding below. *)
+  let[@inline never] peek_short t count =
+    let avail = t.limit - t.pos in
+    if avail <= 0 then 0 else gather_tail t avail lsl (count - avail)
+
+  let[@inline] peek t count =
+    if count < 0 || count > 15 then invalid_arg "Bitio.Reader.peek";
+    if t.limit - t.pos >= count then gather t count else peek_short t count
+
+  let[@inline] skip t count =
+    if count < 0 then invalid_arg "Bitio.Reader.skip";
+    if t.pos + count > t.limit then begin
+      t.pos <- t.limit;
+      raise Out_of_bits
+    end;
+    t.pos <- t.pos + count
 
   let read_bits_lsb t count =
     if count < 0 || count > 30 then invalid_arg "Bitio.read_bits_lsb: count";

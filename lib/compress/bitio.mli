@@ -83,6 +83,19 @@ module Lsb_reader : sig
   (** One stream bit — successive calls deliver a Huffman code most
       significant bit first. *)
 
+  val peek : t -> int -> int
+  (** [peek t n] is what [read_bits t n] would return, without consuming
+      anything, for [n] in 0..15.  Bits past the end of the stream read
+      as zero, so a peek never fails; the first stream bit is the
+      value's least significant.
+      @raise Invalid_argument if [n] is not in 0..15. *)
+
+  val skip : t -> int -> unit
+  (** [skip t n] consumes [n] bits.  When fewer than [n] are left it
+      consumes what is left, as {!read_bits} does, and raises
+      [Out_of_bits]: the reader never moves past the end.
+      @raise Invalid_argument if [n] is negative. *)
+
   val align_byte : t -> unit
   val byte_position : t -> int
   val bits_remaining : t -> int
@@ -102,6 +115,19 @@ module Reader : sig
   val read_bit : t -> bool
   val read_bits_msb : t -> int -> int
   val read_bits_lsb : t -> int -> int
+
+  val peek : t -> int -> int
+  (** [peek t n] is what [read_bits_msb t n] would return, without
+      consuming anything, for [n] in 0..15.  Bits past the end of the
+      stream read as zero, so a peek never fails.
+      @raise Invalid_argument if [n] is not in 0..15. *)
+
+  val skip : t -> int -> unit
+  (** [skip t n] consumes [n] bits.  When fewer than [n] are left it
+      consumes what is left, as {!read_bits_msb} does, and raises
+      [Out_of_bits]: the reader never moves past the end.
+      @raise Invalid_argument if [n] is negative. *)
+
   val align_byte : t -> unit
   val bits_remaining : t -> int
   val byte_position : t -> int

@@ -326,23 +326,37 @@ let decompress_result data =
             failwith "Bzip2.decompress: bad table";
           decoders.(t) <- Huffman.decoder_of_lengths lengths
         done;
-        let symbols = ref [] in
+        (* A well-formed block has at most [len + 2] symbols, and every
+           symbol costs at least one bit; the buffer doubles if a
+           malformed one goes on. *)
+        let symbols =
+          ref (Array.make (max 16 (min (len + 2) (Bitio.Reader.bits_remaining r))) 0)
+        in
         let count = ref 0 in
+        let group = ref 0 and left = ref 0 and decoder = ref decoders.(0) in
         let finished = ref false in
         while not !finished do
-          let group = !count / group_size in
-          if group >= n_selectors then
-            failwith "Bzip2.decompress: selectors exhausted";
-          let s = Huffman.read_symbol r decoders.(selectors.(group)) in
-          symbols := s :: !symbols;
+          if !left = 0 then begin
+            if !group >= n_selectors then
+              failwith "Bzip2.decompress: selectors exhausted";
+            decoder := decoders.(selectors.(!group));
+            incr group;
+            left := group_size
+          end;
+          let s = Huffman.read_symbol r !decoder in
+          if !count = Array.length !symbols then begin
+            let grown = Array.make (2 * !count) 0 in
+            Array.blit !symbols 0 grown 0 !count;
+            symbols := grown
+          end;
+          Array.unsafe_set !symbols !count s;
           incr count;
+          decr left;
           if s = Rle2.eob then finished := true
         done;
         (* The decoded block must come out exactly [len] bytes, so [len]
            also caps the zero-run expansion. *)
-        let mtf =
-          Rle2.decode ~max_output:len (Array.of_list (List.rev !symbols))
-        in
+        let mtf = Rle2.decode ~max_output:len ~len:!count !symbols in
         let last = Mtf.decode mtf in
         if Bytes.length last <> len then
           failwith "Bzip2.decompress: length mismatch";

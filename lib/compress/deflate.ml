@@ -126,11 +126,8 @@ let encode_token_array tokens =
 
 let encode_tokens tokens = encode_token_array (Array.of_list tokens)
 
-let decode_tokens_sub_result data ~off ~len =
-  let r = Bitio.Reader.create ~start:off ~len data in
-  Codec_error.protect ~codec:"deflate"
-    ~offset:(fun () -> Bitio.Reader.byte_position r)
-  @@ fun () ->
+(* The two tables in a stream's header. *)
+let read_tables r =
   let litlen_lengths = Huffman.read_lengths r in
   let dist_lengths = Huffman.read_lengths r in
   if Array.length litlen_lengths <> litlen_alphabet
@@ -142,26 +139,46 @@ let decode_tokens_sub_result data ~off ~len =
       Some (Huffman.decoder_of_lengths dist_lengths)
     else None
   in
+  (litlen, dist)
+
+(* The next token, unboxed: a literal byte, [-1] at the end of the
+   block, or a match as [(length lsl 16) lor distance], which is at
+   least [3 lsl 16] (distances stay below [2^16]). *)
+let read_token r litlen dist =
+  let sym = Huffman.read_symbol r litlen in
+  if sym < 256 then sym
+  else if sym = end_of_block then -1
+  else begin
+    (* [litlen] has [litlen_alphabet] symbols, so [sym] is 257..285. *)
+    let length =
+      length_bases.(sym - 257) + Bitio.Reader.read_bits_msb r length_extra.(sym - 257)
+    in
+    let decoder =
+      match dist with
+      | Some d -> d
+      | None -> failwith "Deflate.decode_tokens: match without distances"
+    in
+    let dsym = Huffman.read_symbol r decoder in
+    let distance =
+      distance_bases.(dsym) + Bitio.Reader.read_bits_msb r distance_extra.(dsym)
+    in
+    (length lsl 16) lor distance
+  end
+
+let decode_tokens_sub_result data ~off ~len =
+  let r = Bitio.Reader.create ~start:off ~len data in
+  Codec_error.protect ~codec:"deflate"
+    ~offset:(fun () -> Bitio.Reader.byte_position r)
+  @@ fun () ->
+  let litlen, dist = read_tables r in
   let tokens = ref [] in
   let rec loop () =
-    let sym = Huffman.read_symbol r litlen in
-    if sym = end_of_block then ()
-    else if sym < 256 then begin
-      tokens := Lz77.Literal (Char.chr sym) :: !tokens;
-      loop ()
-    end
-    else begin
-      let lbase, lbits = base_of_length_code sym in
-      let length = lbase + Bitio.Reader.read_bits_msb r lbits in
-      let decoder =
-        match dist with
-        | Some d -> d
-        | None -> failwith "Deflate.decode_tokens: match without distances"
-      in
-      let dsym = Huffman.read_symbol r decoder in
-      let dbase, dbits = base_of_distance_code dsym in
-      let distance = dbase + Bitio.Reader.read_bits_msb r dbits in
-      tokens := Lz77.Match { length; distance } :: !tokens;
+    let t = read_token r litlen dist in
+    if t >= 0 then begin
+      tokens :=
+        (if t < 256 then Lz77.Literal (Char.chr t)
+         else Lz77.Match { length = t lsr 16; distance = t land 0xffff })
+        :: !tokens;
       loop ()
     end
   in
@@ -187,16 +204,63 @@ let compress ?strategy ?max_chain input =
   Obs.Metrics.add m_bytes_out (Bytes.length out);
   out
 
+type output = { mutable buf : bytes; mutable len : int }
+
+let output capacity = { buf = Bytes.create (max 64 capacity); len = 0 }
+
+let[@inline never] reserve out extra =
+  if out.len + extra > Bytes.length out.buf then begin
+    let buf = Bytes.create (max (out.len + extra) (2 * Bytes.length out.buf)) in
+    Bytes.blit out.buf 0 buf 0 out.len;
+    out.buf <- buf
+  end
+
+let[@inline] add_byte out c =
+  if out.len = Bytes.length out.buf then reserve out 1;
+  Bytes.unsafe_set out.buf out.len c;
+  out.len <- out.len + 1
+
+let add_match out ~distance ~length =
+  if distance < 1 || distance > out.len then invalid_arg "Deflate.add_match";
+  reserve out length;
+  let buf = out.buf and start = out.len - distance in
+  (* Byte by byte when the match overlaps its own output, so that it
+     repeats the bytes it has just written. *)
+  if distance >= length then Bytes.blit buf start buf out.len length
+  else
+    for k = 0 to length - 1 do
+      Bytes.unsafe_set buf (out.len + k) (Bytes.unsafe_get buf (start + k))
+    done;
+  out.len <- out.len + length
+
+let contents out =
+  if out.len = Bytes.length out.buf then out.buf else Bytes.sub out.buf 0 out.len
+
+(* An out-of-window distance is corrupt input, but the rest of the
+   stream is still parsed, so that a parse error anywhere in it is
+   reported first, as {!decode_tokens_result} reports it. *)
 let decompress_sub_result data ~off ~len =
-  match decode_tokens_sub_result data ~off ~len with
-  | Error e -> Error e
-  | Ok tokens -> (
-      (* [detokenize] validates match distances against the output built
-         so far; a bad distance is corrupt input, not a caller bug. *)
-      match Lz77.detokenize tokens with
-      | plain -> Ok plain
-      | exception Invalid_argument reason ->
-          Codec_error.error ~codec:"deflate" reason)
+  let r = Bitio.Reader.create ~start:off ~len data in
+  Codec_error.protect ~codec:"deflate"
+    ~offset:(fun () -> Bitio.Reader.byte_position r)
+  @@ fun () ->
+  let litlen, dist = read_tables r in
+  let out = output (2 * len) in
+  let too_far = ref false in
+  let t = ref (read_token r litlen dist) in
+  while !t >= 0 do
+    let tok = !t in
+    if tok < 256 then add_byte out (Char.unsafe_chr tok)
+    else begin
+      let distance = tok land 0xffff in
+      if distance > out.len then too_far := true
+      else add_match out ~distance ~length:(tok lsr 16)
+    end;
+    t := read_token r litlen dist
+  done;
+  if !too_far then
+    Codec_error.fail ~codec:"deflate" "Lz77.detokenize: distance too large";
+  contents out
 
 let decompress_result data =
   decompress_sub_result data ~off:0 ~len:(Bytes.length data)

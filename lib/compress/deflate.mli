@@ -34,8 +34,10 @@ val compress : ?strategy:Lz77.strategy -> ?max_chain:int -> bytes -> bytes
 (** [Lz77.tokenize] + [encode_tokens]. *)
 
 val decompress_result : bytes -> (bytes, Codec_error.t) result
-(** {!decode_tokens_result} + [Lz77.detokenize], with out-of-window match
-    distances reported as decode errors rather than exceptions. *)
+(** The bytes {!decode_tokens_result}'s tokens spell, decoded without
+    building the token list.  Parse errors are the same as
+    {!decode_tokens_result}'s; a well-formed stream with an out-of-window
+    match distance is an error too, with no offset. *)
 
 val decompress_sub_result :
   bytes -> off:int -> len:int -> (bytes, Codec_error.t) result
@@ -47,3 +49,24 @@ val decompress_sub_result :
 val decompress : bytes -> bytes
 (** [Codec_error.unwrap] of {!decompress_result}.
     @raise Failure on malformed input. *)
+
+(** {2 Decoded output}
+
+    The buffer both this module and {!Rfc1951} decode into: bytes that
+    double when they fill. *)
+
+type output = { mutable buf : bytes; mutable len : int }
+(** The first [len] bytes of [buf] are the output so far. *)
+
+val output : int -> output
+(** An empty output with room for the given number of bytes. *)
+
+val add_byte : output -> char -> unit
+
+val add_match : output -> distance:int -> length:int -> unit
+(** Append the [length] bytes that start [distance] bytes back; a match
+    longer than its distance repeats the bytes it appends.
+    @raise Invalid_argument if [distance] is not in [1 .. len]. *)
+
+val contents : output -> bytes
+(** The output so far; may share [buf]. *)

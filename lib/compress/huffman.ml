@@ -201,60 +201,161 @@ let write_symbol w codes sym =
   if c.length = 0 then invalid_arg "Huffman.write_symbol: symbol has no code";
   Bitio.Writer.add_bits_msb w ~value:c.bits ~count:c.length
 
-(* Canonical bit-serial decoder: for each length we know the first code and
-   the symbols assigned at that length, so one running comparison per bit
-   suffices. *)
+(* Table-driven decoding in the style of zlib's inflate_fast.  A lookup
+   peeks [max_len] bits, zero-padded past the end of the stream, and
+   indexes a root table with the first [root] of them ([root] is
+   [root_bits], or [max_len] when every code is shorter).  A code of up
+   to [root] bits fills every root entry its bits prefix; a longer
+   code's root prefix links to a second-level table indexed by the next
+   [width] bits, where [width] is the longest such code's length minus
+   [root].
+
+   Entries are unboxed ints: 0 when no code starts with these bits,
+   [(symbol lsl 5) lor length] for a code (length 1..15), and
+   [(offset lsl 5) lor 16 lor width] for a link to the second-level
+   table at [offset] in the same array. *)
+let root_bits = 10
+
+let max_code_length = 15
+
 type decoder = {
   max_len : int;
-  first_code : int array; (* per length *)
-  first_index : int array; (* per length, index into [symbols] *)
-  counts : int array;
-  symbols : int array; (* used symbols ordered by (length, symbol) *)
+  sub_bits : int; (* peeked bits below the root index: [max_len - root] *)
+  table : int array;
 }
 
+(* Canonical codes as {!canonical_codes} assigns them, except that
+   oversubscribed lengths are accepted: a code that does not fit in its
+   length can never be read, and the others still form a prefix code,
+   because each length's codes start past every shorter code's
+   extension.  So the table holds exactly the symbols a bit-serial
+   canonical decoder can reach, at the same bits. *)
 let decoder_of_lengths lengths =
-  let max_len = Array.fold_left max 0 lengths in
+  let n = Array.length lengths in
+  let max_len = ref 0 in
+  for s = 0 to n - 1 do
+    if lengths.(s) > !max_len then max_len := lengths.(s)
+  done;
+  let max_len = !max_len in
+  if max_len > max_code_length then
+    invalid_arg "Huffman.decoder_of_lengths: length";
+  let root = min root_bits max_len in
   let counts = Array.make (max_len + 1) 0 in
-  Array.iter (fun l -> if l > 0 then counts.(l) <- counts.(l) + 1) lengths;
-  let order =
-    List.filter
-      (fun s -> lengths.(s) > 0)
-      (List.init (Array.length lengths) (fun i -> i))
-  in
-  let order =
-    List.sort
-      (fun a b ->
-        match compare lengths.(a) lengths.(b) with 0 -> compare a b | c -> c)
-      order
-  in
-  let symbols = Array.of_list order in
-  let first_code = Array.make (max_len + 2) 0 in
-  let first_index = Array.make (max_len + 2) 0 in
-  let code = ref 0 and index = ref 0 in
+  for s = 0 to n - 1 do
+    let l = lengths.(s) in
+    if l > 0 then counts.(l) <- counts.(l) + 1
+  done;
+  let next_code = Array.make (max_len + 1) 0 in
   for l = 1 to max_len do
-    code := (!code + if l >= 2 then counts.(l - 1) else 0) lsl 1;
-    first_code.(l) <- !code;
-    first_index.(l) <- !index;
-    index := !index + counts.(l)
+    next_code.(l) <- (next_code.(l - 1) + counts.(l - 1)) lsl 1
   done;
-  { max_len; first_code; first_index; counts; symbols }
-
-let read_symbol_bits next_bit d =
-  let code = ref 0 and len = ref 0 in
-  let result = ref (-1) in
-  while !result < 0 do
-    if !len >= d.max_len then failwith "Huffman.read_symbol: invalid code";
-    code := (!code lsl 1) lor (if next_bit () then 1 else 0);
-    incr len;
-    let l = !len in
-    if d.counts.(l) > 0
-       && !code - d.first_code.(l) < d.counts.(l)
-       && !code >= d.first_code.(l)
-    then result := d.symbols.(d.first_index.(l) + (!code - d.first_code.(l)))
+  (* -1 marks a symbol without a readable code.  [width] is the
+     second-level width under each root index, 0 when it has none. *)
+  let codes = Array.make n (-1) in
+  let width = Bytes.make (1 lsl root) '\000' in
+  let size = ref (1 lsl root) in
+  for s = 0 to n - 1 do
+    let l = lengths.(s) in
+    if l > 0 then begin
+      let c = next_code.(l) in
+      next_code.(l) <- c + 1;
+      if c lsr l = 0 then begin
+        codes.(s) <- c;
+        if l > root then begin
+          let p = c lsr (l - root) and w = l - root in
+          let old = Char.code (Bytes.get width p) in
+          if w > old then begin
+            size := !size + (1 lsl w) - (if old = 0 then 0 else 1 lsl old);
+            Bytes.set width p (Char.chr w)
+          end
+        end
+      end
+    end
   done;
-  !result
+  let table = Array.make !size 0 in
+  let next = ref (1 lsl root) in
+  for p = 0 to (1 lsl root) - 1 do
+    let w = Char.code (Bytes.unsafe_get width p) in
+    if w > 0 then begin
+      table.(p) <- (!next lsl 5) lor 16 lor w;
+      next := !next + (1 lsl w)
+    end
+  done;
+  let fill at count leaf =
+    for i = at to at + count - 1 do
+      table.(i) <- leaf
+    done
+  in
+  for s = 0 to n - 1 do
+    let l = lengths.(s) and c = codes.(s) in
+    if c >= 0 then begin
+      let leaf = (s lsl 5) lor l in
+      if l <= root then fill (c lsl (root - l)) (1 lsl (root - l)) leaf
+      else begin
+        let link = table.(c lsr (l - root)) in
+        let w = link land 15 and rest = c land ((1 lsl (l - root)) - 1) in
+        fill ((link lsr 5) + (rest lsl (w - (l - root)))) (1 lsl (w - (l - root))) leaf
+      end
+    end
+  done;
+  { max_len; sub_bits = max_len - root; table }
 
-let read_symbol r d = read_symbol_bits (fun () -> Bitio.Reader.read_bit r) d
+(* The entry for [bits], the next [max_len] stream bits, first bit most
+   significant.  [bits] is below [2^max_len], so the root index is below
+   [2^root] and a link's index stays inside its [2^width] entries. *)
+let[@inline] entry d bits =
+  let e = Array.unsafe_get d.table (bits lsr d.sub_bits) in
+  if e land 16 = 0 then e
+  else
+    let w = e land 15 in
+    Array.unsafe_get d.table
+      ((e lsr 5) + ((bits lsr (d.sub_bits - w)) land ((1 lsl w) - 1)))
+
+let invalid_code = "Huffman.read_symbol: invalid code"
+
+(* The errors are those of a decoder that reads a code one bit at a
+   time.  The zero padding of a peek past the end never decides a
+   symbol: if the entry's code fits in the bits left, those bits alone
+   select it, and if it does not, [skip] consumes what is left and
+   raises [Out_of_bits], as running out mid-code did.  With no entry,
+   no code starts with these bits: reading one bit at a time gave up
+   after [max_len] bits, or ran out first. *)
+let[@inline] read_symbol r d =
+  let e = entry d (Bitio.Reader.peek r d.max_len) in
+  let len = e land 15 in
+  if len = 0 then begin
+    Bitio.Reader.skip r d.max_len;
+    failwith invalid_code
+  end;
+  Bitio.Reader.skip r len;
+  e lsr 5
+
+(* Each byte with its bits reversed. *)
+let rev8 =
+  String.init 256 (fun b ->
+      let r = ref 0 in
+      for k = 0 to 7 do
+        if b land (1 lsl k) <> 0 then r := !r lor (1 lsl (7 - k))
+      done;
+      Char.chr !r)
+
+(* RFC 1951 packs a code's first bit lowest, so the LSB-first peek is
+   bit-reversed (over [max_len] bits) into the table's index order. *)
+let[@inline] read_symbol_lsb r d =
+  let bits = Bitio.Lsb_reader.peek r d.max_len in
+  let rev =
+    ((Char.code (String.unsafe_get rev8 (bits land 0xff)) lsl 8)
+    lor Char.code (String.unsafe_get rev8 (bits lsr 8)))
+    lsr (16 - d.max_len)
+  in
+  let e = entry d rev in
+  let len = e land 15 in
+  if len = 0 then begin
+    Bitio.Lsb_reader.skip r d.max_len;
+    failwith invalid_code
+  end;
+  Bitio.Lsb_reader.skip r len;
+  e lsr 5
 
 let encode data =
   let freqs = Array.make 256 0 in
@@ -288,7 +389,8 @@ let decode_result data =
      order, and each symbol read advances the bit reader. *)
   let out = Bytes.create n in
   for i = 0 to n - 1 do
-    Bytes.set out i (Char.chr (read_symbol r d))
+    (* the table has 256 symbols *)
+    Bytes.unsafe_set out i (Char.unsafe_chr (read_symbol r d))
   done;
   out
 

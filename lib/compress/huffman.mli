@@ -32,17 +32,25 @@ val write_symbol : Bitio.Writer.t -> code array -> int -> unit
 (** @raise Invalid_argument when the symbol has no code. *)
 
 type decoder
+(** A two-level lookup table over the canonical codes of a length array:
+    one peek of up to 15 bits and one or two table lookups per symbol. *)
 
 val decoder_of_lengths : int array -> decoder
+(** Lengths of 0 (or less) mark unused symbols.  Oversubscribed lengths
+    are accepted: codes that do not fit in their length cannot be read,
+    exactly as with a bit-serial canonical decoder.
+    @raise Invalid_argument on a length above 15. *)
 
 val read_symbol : Bitio.Reader.t -> decoder -> int
-(** @raise Failure on a code not present in the table. *)
+(** Decode one symbol, code most significant bit first.  Consumes the
+    code's bits only; a code the table lacks consumes the longest code
+    length in bits before failing.
+    @raise Failure on a code not present in the table. *)
 
-val read_symbol_bits : (unit -> bool) -> decoder -> int
-(** Decode one symbol from a bit source delivering the code most
-    significant bit first — lets the canonical decoder run over any bit
-    stream (e.g. RFC 1951's LSB-packed layout).
-    @raise Failure on an invalid code. *)
+val read_symbol_lsb : Bitio.Lsb_reader.t -> decoder -> int
+(** {!read_symbol} over RFC 1951's LSB-first packing, where a Huffman
+    code still arrives most significant bit first.
+    @raise Failure on a code not present in the table. *)
 
 val encode : bytes -> bytes
 (** Self-contained single-table byte compressor: header (lengths) + body +

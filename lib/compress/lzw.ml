@@ -262,11 +262,17 @@ let decompress_result data =
   let n = (hi lsl 16) lor lo in
   if n > max_declared_length ~payload_bits:(Bitio.Reader.bits_remaining r) then
     failwith "Lzw.decompress: declared length exceeds what the input can encode";
-  let out = Buffer.create (max 16 (min n 65536)) in
-  if n > 0 then begin
-    (* prefix/suffix tables for codes >= 257; codes < 256 are literals. *)
-    let prefix = Array.make code_limit 0 in
-    let suffix = Array.make code_limit 0 in
+  if n = 0 then Bytes.empty
+  else begin
+    (* The output grows as it is written, up to the declared [n] and no
+       further: the guard bounds [n] only quadratically in the input. *)
+    let out = ref (Bytes.create (min n 65536)) and len = ref 0 in
+    (* A code >= 257 is its prefix code's string plus one byte:
+       [chain.(code)] holds the string's length above 16 bits and the
+       prefix code below, [suffix] the byte.  Codes < 256 are literals,
+       strings of length 1. *)
+    let chain = Array.make code_limit (1 lsl 16) in
+    let suffix = Bytes.create code_limit in
     let free_ent = ref first_code in
     let n_bits = ref min_bits in
     let maxcode () = (1 lsl !n_bits) - 1 in
@@ -276,43 +282,55 @@ let decompress_result data =
       if !free_ent + 1 > maxcode () && !n_bits < max_bits then incr n_bits;
       Bitio.Reader.read_bits_lsb r !n_bits
     in
-    let expand code =
-      let rec collect code acc =
-        if code >= 0 && code < 256 then Char.chr code :: acc
-        else if code >= first_code && code < !free_ent then
-          collect prefix.(code) (Char.chr suffix.(code) :: acc)
-        else failwith "Lzw.decompress: bad code"
-      in
-      collect code []
+    (* Writes a known code's string ending just before [stop], last byte
+       first, down the prefix chain. *)
+    let write code ~stop =
+      let buf = !out and c = ref code and k = ref (stop - 1) in
+      while !c > 255 do
+        Bytes.unsafe_set buf !k (Bytes.unsafe_get suffix !c);
+        c := Array.unsafe_get chain !c land 0xffff;
+        decr k
+      done;
+      Bytes.unsafe_set buf !k (Char.unsafe_chr !c)
     in
     let code0 = read_code () in
     if code0 > 255 then failwith "Lzw.decompress: bad first code";
-    Buffer.add_char out (Char.chr code0);
+    Bytes.set !out 0 (Char.chr code0);
+    len := 1;
     let prev = ref code0 in
-    while Buffer.length out < n do
+    while !len < n do
       let code = read_code () in
-      let chars =
-        if code = !free_ent && !free_ent < code_limit then begin
-          (* KwKwK: the string is prev's expansion plus its own first
-             character. *)
-          let prev_chars = expand !prev in
-          prev_chars @ [ List.hd prev_chars ]
-        end
-        else expand code
+      (* KwKwK: the code the encoder has just made is prev's string plus
+         that string's own first byte. *)
+      let kwkwk = code = !free_ent && !free_ent < code_limit in
+      let prev_len = chain.(!prev) lsr 16 in
+      let l =
+        if kwkwk then prev_len + 1
+        else if code >= 0 && code < 256 then 1
+        else if code >= first_code && code < !free_ent then chain.(code) lsr 16
+        else failwith "Lzw.decompress: bad code"
       in
-      List.iter (Buffer.add_char out) chars;
+      (* A string that runs past [n] could only end in this error. *)
+      if l > n - !len then failwith "Lzw.decompress: length mismatch";
+      if !len + l > Bytes.length !out then begin
+        let grown = Bytes.create (min n (max (!len + l) (2 * Bytes.length !out))) in
+        Bytes.blit !out 0 grown 0 !len;
+        out := grown
+      end;
+      if kwkwk then begin
+        write !prev ~stop:(!len + prev_len);
+        Bytes.set !out (!len + prev_len) (Bytes.get !out !len)
+      end
+      else write code ~stop:(!len + l);
       if !free_ent < code_limit then begin
-        prefix.(!free_ent) <- !prev;
-        suffix.(!free_ent) <-
-          (match chars with
-          | c :: _ -> Char.code c
-          | [] -> failwith "Lzw.decompress: empty expansion");
+        chain.(!free_ent) <- ((prev_len + 1) lsl 16) lor !prev;
+        Bytes.set suffix !free_ent (Bytes.get !out !len);
         incr free_ent
       end;
-      prev := code
+      prev := code;
+      len := !len + l
     done;
-    if Buffer.length out <> n then failwith "Lzw.decompress: length mismatch"
-  end;
-  Buffer.to_bytes out
+    !out
+  end
 
 let decompress data = Codec_error.unwrap (decompress_result data)

@@ -9,6 +9,11 @@ let fixed_litlen_lengths =
 
 let fixed_dist_lengths = Array.make 30 5
 
+(* The fixed-Huffman decoders, built once for every fixed block. *)
+let fixed_litlen = Huffman.decoder_of_lengths fixed_litlen_lengths
+
+let fixed_dist = Huffman.decoder_of_lengths fixed_dist_lengths
+
 (* Order in which code-length-code lengths appear in a dynamic header. *)
 let cl_order =
   [| 16; 17; 18; 0; 8; 7; 9; 6; 10; 5; 11; 4; 12; 3; 13; 2; 14; 1; 15 |]
@@ -193,11 +198,10 @@ let read_dynamic_tables r =
     cl_lengths.(cl_order.(k)) <- read_bits 3
   done;
   let cl = Huffman.decoder_of_lengths cl_lengths in
-  let next_bit () = Bitio.Lsb_reader.read_bit r in
   let lengths = Array.make (hlit + hdist) 0 in
   let pos = ref 0 in
   while !pos < hlit + hdist do
-    match Huffman.read_symbol_bits next_bit cl with
+    match Huffman.read_symbol_lsb r cl with
     | s when s <= 15 ->
         lengths.(!pos) <- s;
         incr pos
@@ -223,11 +227,10 @@ let read_dynamic_tables r =
   (Array.sub lengths 0 hlit, Array.sub lengths hlit hdist)
 
 let inflate_block r out litlen dist =
-  let next_bit () = Bitio.Lsb_reader.read_bit r in
   let finished = ref false in
   while not !finished do
-    let sym = Huffman.read_symbol_bits next_bit litlen in
-    if sym < 256 then Buffer.add_char out (Char.chr sym)
+    let sym = Huffman.read_symbol_lsb r litlen in
+    if sym < 256 then Deflate.add_byte out (Char.unsafe_chr sym)
     else if sym = end_of_block then finished := true
     else begin
       let lbase, lbits = Deflate.base_of_length_code sym in
@@ -237,14 +240,12 @@ let inflate_block r out litlen dist =
         | Some d -> d
         | None -> failwith "Rfc1951.inflate: match in distance-less block"
       in
-      let dsym = Huffman.read_symbol_bits next_bit dist_decoder in
+      let dsym = Huffman.read_symbol_lsb r dist_decoder in
       let dbase, dbits = Deflate.base_of_distance_code dsym in
       let distance = dbase + Bitio.Lsb_reader.read_bits r dbits in
-      let start = Buffer.length out - distance in
-      if start < 0 then failwith "Rfc1951.inflate: distance too far back";
-      for k = 0 to length - 1 do
-        Buffer.add_char out (Buffer.nth out (start + k))
-      done
+      if distance > out.Deflate.len then
+        failwith "Rfc1951.inflate: distance too far back";
+      Deflate.add_match out ~distance ~length
     end
   done
 
@@ -253,7 +254,7 @@ let inflate_result data =
   Codec_error.protect ~codec:"rfc1951"
     ~offset:(fun () -> Bitio.Lsb_reader.byte_position r)
   @@ fun () ->
-  let out = Buffer.create (Bytes.length data * 3) in
+  let out = Deflate.output (Bytes.length data * 3) in
   let final = ref false in
   while not !final do
     final := Bitio.Lsb_reader.read_bits r 1 = 1;
@@ -264,13 +265,14 @@ let inflate_result data =
         let nlen = Bitio.Lsb_reader.read_bits r 16 in
         if len lxor 0xffff <> nlen then
           failwith "Rfc1951.inflate: stored length check";
-        for _ = 1 to len do
-          Buffer.add_char out (Char.chr (Bitio.Lsb_reader.read_bits r 8))
+        (* The reader is aligned, so the block is [len] whole bytes of
+           [data]; [skip] fails as a byte-by-byte read would. *)
+        let at = Bitio.Lsb_reader.byte_position r in
+        Bitio.Lsb_reader.skip r (8 * len);
+        for k = at to at + len - 1 do
+          Deflate.add_byte out (Bytes.unsafe_get data k)
         done
-    | 1 ->
-        inflate_block r out
-          (Huffman.decoder_of_lengths fixed_litlen_lengths)
-          (Some (Huffman.decoder_of_lengths fixed_dist_lengths))
+    | 1 -> inflate_block r out fixed_litlen (Some fixed_dist)
     | 2 ->
         let litlen_lengths, dist_lengths = read_dynamic_tables r in
         let dist =
@@ -281,7 +283,7 @@ let inflate_result data =
         inflate_block r out (Huffman.decoder_of_lengths litlen_lengths) dist
     | _ -> failwith "Rfc1951.inflate: reserved block type"
   done;
-  Buffer.to_bytes out
+  Deflate.contents out
 
 let inflate data = Codec_error.unwrap (inflate_result data)
 

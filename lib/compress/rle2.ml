@@ -53,50 +53,63 @@ let encode symbols =
    are checked against it before they can overflow. *)
 let default_max_output = max_int / 4
 
-let decode_result ?(max_output = default_max_output) symbols =
+(* Two passes over the first [len] symbols.  The first runs every check,
+   in stream order, and counts the output; the second fills an array of
+   exactly that size, whose zeros are already the runs. *)
+let decode_result ?(max_output = default_max_output) ?len symbols =
+  let n = match len with Some n -> n | None -> Array.length symbols in
   let i = ref 0 in
   Codec_error.protect ~codec:"rle2" ~offset:(fun () -> !i) @@ fun () ->
   if max_output < 0 || max_output > default_max_output then
     failwith "Rle2.decode: max_output out of range";
-  let out = ref [] in
+  if n < 0 || n > Array.length symbols then invalid_arg "Rle2.decode: len";
+  let exceeds () = failwith "Rle2.decode: output exceeds limit" in
+  (* [produced] never exceeds [max_output], nor does a pending run. *)
   let produced = ref 0 in
-  let emit s =
-    incr produced;
-    if !produced > max_output then failwith "Rle2.decode: output exceeds limit";
-    out := s :: !out
-  in
   let run_value = ref 0 and run_weight = ref 1 in
-  let flush_run () =
-    for _ = 1 to !run_value do emit 0 done;
-    run_value := 0;
-    run_weight := 1
-  in
   let finished = ref false in
-  let n = Array.length symbols in
-  while !i < n do
-    let s = symbols.(!i) in
+  let k = ref 0 in
+  while !k < n do
+    let s = symbols.(!k) in
+    i := !k;
     if !finished then failwith "Rle2.decode: data after EOB";
     if s = runa || s = runb then begin
-      if !run_weight > max_output then
-        failwith "Rle2.decode: output exceeds limit";
-      run_value := !run_value + ((if s = runa then 1 else 2) * !run_weight);
-      if !run_value > max_output then
-        failwith "Rle2.decode: output exceeds limit";
+      if !run_weight > max_output then exceeds ();
+      run_value := !run_value + ((s + 1) * !run_weight);
+      if !run_value > max_output then exceeds ();
       run_weight := !run_weight * 2
     end
-    else if s = eob then begin
-      flush_run ();
-      finished := true
-    end
-    else if s >= 2 && s <= 256 then begin
-      flush_run ();
-      emit (s - 1)
+    else if s = eob || (s >= 2 && s <= 256) then begin
+      (* The pending run, then the symbol itself unless it is the EOB. *)
+      let count = if s = eob then !run_value else !run_value + 1 in
+      if count > max_output - !produced then exceeds ();
+      produced := !produced + count;
+      run_value := 0;
+      run_weight := 1;
+      if s = eob then finished := true
     end
     else failwith "Rle2.decode: symbol out of range";
-    incr i
+    incr k
   done;
+  i := n;
   if not !finished then failwith "Rle2.decode: missing EOB";
-  Array.of_list (List.rev !out)
+  let out = Array.make !produced 0 in
+  let o = ref 0 and run = ref 0 and weight = ref 1 in
+  (* Every symbol is valid now, and the last one is the EOB. *)
+  for k = 0 to n - 2 do
+    let s = Array.unsafe_get symbols k in
+    if s = runa || s = runb then begin
+      run := !run + ((s + 1) * !weight);
+      weight := !weight * 2
+    end
+    else begin
+      Array.unsafe_set out (!o + !run) (s - 1);
+      o := !o + !run + 1;
+      run := 0;
+      weight := 1
+    end
+  done;
+  out
 
-let decode ?max_output symbols =
-  Codec_error.unwrap (decode_result ?max_output symbols)
+let decode ?max_output ?len symbols =
+  Codec_error.unwrap (decode_result ?max_output ?len symbols)

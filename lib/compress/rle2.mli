@@ -35,14 +35,15 @@ val default_max_output : int
     overflow. *)
 
 val decode_result :
-  ?max_output:int -> int array -> (int array, Codec_error.t) result
-(** Safe inverse of {!encode}; input must be EOB-terminated.
+  ?max_output:int -> ?len:int -> int array -> (int array, Codec_error.t) result
+(** Safe inverse of {!encode} on the first [len] symbols (default: all
+    of them); input must be EOB-terminated.
     [max_output] (default {!default_max_output}) bounds the decoded
     length: zero-run digits grow the pending run geometrically, so a few
     dozen adversarial symbols can demand 2^60 zeros — the cap rejects
     such streams before anything is materialised.  The [Error] offset is
     the index of the offending symbol. *)
 
-val decode : ?max_output:int -> int array -> int array
+val decode : ?max_output:int -> ?len:int -> int array -> int array
 (** [Codec_error.unwrap] of {!decode_result}.
     @raise Failure on malformed input. *)

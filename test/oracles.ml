@@ -132,6 +132,61 @@ module Huffman_ref = struct
       done;
       lengths
     end
+
+  (* [Huffman]'s canonical decoder as it was before the decode table:
+     for each length the first code and the symbols assigned at that
+     length, and one running comparison per bit read. *)
+  type decoder = {
+    max_len : int;
+    first_code : int array; (* per length *)
+    first_index : int array; (* per length, index into [symbols] *)
+    counts : int array;
+    symbols : int array; (* used symbols ordered by (length, symbol) *)
+  }
+
+  let decoder_of_lengths lengths =
+    let max_len = Array.fold_left max 0 lengths in
+    let counts = Array.make (max_len + 1) 0 in
+    Array.iter (fun l -> if l > 0 then counts.(l) <- counts.(l) + 1) lengths;
+    let order =
+      List.filter
+        (fun s -> lengths.(s) > 0)
+        (List.init (Array.length lengths) (fun i -> i))
+    in
+    let order =
+      List.sort
+        (fun a b ->
+          match compare lengths.(a) lengths.(b) with 0 -> compare a b | c -> c)
+        order
+    in
+    let symbols = Array.of_list order in
+    let first_code = Array.make (max_len + 2) 0 in
+    let first_index = Array.make (max_len + 2) 0 in
+    let code = ref 0 and index = ref 0 in
+    for l = 1 to max_len do
+      code := (!code + if l >= 2 then counts.(l - 1) else 0) lsl 1;
+      first_code.(l) <- !code;
+      first_index.(l) <- !index;
+      index := !index + counts.(l)
+    done;
+    { max_len; first_code; first_index; counts; symbols }
+
+  (* One symbol from a bit source delivering the code most significant
+     bit first. *)
+  let read_symbol_bits next_bit d =
+    let code = ref 0 and len = ref 0 in
+    let result = ref (-1) in
+    while !result < 0 do
+      if !len >= d.max_len then failwith "Huffman.read_symbol: invalid code";
+      code := (!code lsl 1) lor (if next_bit () then 1 else 0);
+      incr len;
+      let l = !len in
+      if d.counts.(l) > 0
+         && !code - d.first_code.(l) < d.counts.(l)
+         && !code >= d.first_code.(l)
+      then result := d.symbols.(d.first_index.(l) + (!code - d.first_code.(l)))
+    done;
+    !result
 end
 
 (* [Mtf] as it was with the recency list in an int array, a linear scan

@@ -621,6 +621,54 @@ let test_deflate_all_distances_roundtrip () =
       Alcotest.failf "distance %d mis-coded (%d + %d)" dist base v
   done
 
+(* Decoders allocate little beyond their output: the Huffman table
+   decoder ~1 byte per output byte, the private deflate ~3 (a doubling
+   output buffer, then the exact-size copy).  Each case runs once
+   unmeasured first, and the least of three measured runs counts: the
+   allocation counters of domains that earlier tests ran and ended are
+   folded into this domain's once, at some later collection, and that
+   one-off bump must not be charged to the decoder. *)
+let test_decode_allocation () =
+  let size = 262_144 in
+  let t = prng () in
+  let prose =
+    let b = Buffer.create (size + 1024) in
+    while Buffer.length b < size do
+      Buffer.add_string b (Lipsum.paragraph t);
+      Buffer.add_string b "\n\n"
+    done;
+    Buffer.sub b 0 size
+  in
+  let shapes =
+    [
+      ("text", Bytes.of_string (Lipsum.repetitive_file t ~level:4 ~size));
+      ("prose", Bytes.of_string prose);
+      ("random", Prng.bytes t size);
+    ]
+  in
+  let per_byte name decode packed ~bound =
+    ignore (decode packed);
+    let measure () =
+      let before = Gc.allocated_bytes () in
+      let out = decode packed in
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check int) (name ^ ": output length") size (Bytes.length out);
+      allocated /. float_of_int size
+    in
+    let per_byte = List.fold_left min infinity (List.init 3 (fun _ -> measure ())) in
+    if per_byte > bound then
+      Alcotest.failf "%s allocates %.2f B per output byte (bound %.1f)" name
+        per_byte bound
+  in
+  List.iter
+    (fun (shape, plain) ->
+      per_byte ("Huffman.decode " ^ shape) Huffman.decode (Huffman.encode plain)
+        ~bound:1.1)
+    shapes;
+  per_byte "Deflate.decompress random" Deflate.decompress
+    (Deflate.compress (List.assoc "random" shapes))
+    ~bound:8.0
+
 let test_deflate_roundtrip () =
   let t = prng () in
   roundtrip "random" Deflate.compress Deflate.decompress (Prng.bytes t 10_000);
@@ -984,4 +1032,6 @@ let suite =
       Alcotest.test_case "snappy hash spec" `Quick test_snappy_hash_matches_spec;
       Alcotest.test_case "snappy bad offset" `Quick test_snappy_bad_offset;
       QCheck_alcotest.to_alcotest qcheck_snappy;
+      Alcotest.test_case "decode allocation per output byte" `Quick
+        test_decode_allocation;
     ] )

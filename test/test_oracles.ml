@@ -235,6 +235,94 @@ let test_overflow_repair () =
     (deepest (Huffman.lengths_of_freqs ~max_length:15 (fib 12)))
 
 (* ------------------------------------------------------------------ *)
+(* The decode table vs the bit-serial canonical decoder *)
+
+(* Length arrays of every shape: complete codes from frequencies,
+   incomplete ones (a complete code with symbols dropped), and arbitrary
+   lengths, which are mostly oversubscribed. *)
+let lengths_gen =
+  QCheck.Gen.(
+    int_range 1 15 >>= fun max_length ->
+    int_range 1 288 >>= fun n ->
+    let complete =
+      array_size (return n) (frequency [ (1, return 0); (3, 1 -- 1000) ])
+      >|= fun freqs ->
+      let used = Array.fold_left (fun a f -> if f > 0 then a + 1 else a) 0 freqs in
+      (* keep the used symbols within what [max_length] bits can code *)
+      let excess = ref (used - (1 lsl max_length)) in
+      Array.iteri
+        (fun s f -> if f > 0 && !excess > 0 then begin freqs.(s) <- 0; decr excess end)
+        freqs;
+      Huffman.lengths_of_freqs ~max_length freqs
+    in
+    frequency
+      [
+        (2, complete);
+        ( 2,
+          pair complete (array_size (return n) bool) >|= fun (lengths, drop) ->
+          Array.mapi (fun s l -> if drop.(s) then 0 else l) lengths );
+        (2, array_size (return n) (0 -- max_length));
+      ])
+
+(* Every symbol, failure and reader position of one decoder over one
+   stream, until it fails. *)
+type step = Sym of int * int | Fail of string * int | Out_of_bits of int
+
+let trace ~read ~remaining =
+  let rec go acc =
+    match read () with
+    | s -> go (Sym (s, remaining ()) :: acc)
+    | exception Failure m -> List.rev (Fail (m, remaining ()) :: acc)
+    | exception (Bitio.Reader.Out_of_bits | Bitio.Lsb_reader.Out_of_bits) ->
+        List.rev (Out_of_bits (remaining ()) :: acc)
+  in
+  go []
+
+let qcheck_decode_table =
+  QCheck.Test.make ~name:"decode table = bit-serial decoder" ~count:1000
+    QCheck.(
+      triple (make lengths_gen)
+        (string_of_size Gen.(0 -- 80))
+        (pair (int_bound 8) (int_bound 8)))
+    (fun (lengths, s, (cut_front, cut_back)) ->
+      let b = Bytes.of_string s in
+      (* A slice of the buffer, so that the bytes past its end are not
+         zero and a peek past the end must mask them. *)
+      let start = min cut_front (Bytes.length b) in
+      let len = max 0 (Bytes.length b - start - cut_back) in
+      let table = Huffman.decoder_of_lengths lengths in
+      let oracle = Oracles.Huffman_ref.decoder_of_lengths lengths in
+      let msb () =
+        let r = Bitio.Reader.create ~start ~len b in
+        let r' = Bitio.Reader.create ~start ~len b in
+        ( trace
+            ~read:(fun () -> Huffman.read_symbol r table)
+            ~remaining:(fun () -> Bitio.Reader.bits_remaining r),
+          trace
+            ~read:(fun () ->
+              Oracles.Huffman_ref.read_symbol_bits
+                (fun () -> Bitio.Reader.read_bit r')
+                oracle)
+            ~remaining:(fun () -> Bitio.Reader.bits_remaining r') )
+      in
+      let lsb () =
+        let r = Bitio.Lsb_reader.create ~start ~len b in
+        let r' = Bitio.Lsb_reader.create ~start ~len b in
+        ( trace
+            ~read:(fun () -> Huffman.read_symbol_lsb r table)
+            ~remaining:(fun () -> Bitio.Lsb_reader.bits_remaining r),
+          trace
+            ~read:(fun () ->
+              Oracles.Huffman_ref.read_symbol_bits
+                (fun () -> Bitio.Lsb_reader.read_bit r')
+                oracle)
+            ~remaining:(fun () -> Bitio.Lsb_reader.bits_remaining r') )
+      in
+      let got, want = msb () in
+      let got', want' = lsb () in
+      got = want && got' = want')
+
+(* ------------------------------------------------------------------ *)
 (* MTF vs the int-array recency list *)
 
 let qcheck_mtf_encode =
@@ -276,4 +364,5 @@ let suite =
         test_overflow_repair;
       QCheck_alcotest.to_alcotest qcheck_mtf_encode;
       QCheck_alcotest.to_alcotest qcheck_mtf_decode;
+      QCheck_alcotest.to_alcotest qcheck_decode_table;
     ] )
