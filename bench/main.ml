@@ -661,9 +661,11 @@ let run_bench_cli rest =
             exit 2)
   in
   let results = run_bench ~only:(List.filter (( <> ) "") !only) () in
-  check_invariants results;
+  (* The snapshot is written even when an invariant then fails the run,
+     so a noisy host still leaves the numbers behind. *)
   if !json then write_bench_json results;
   Option.iter (fun path -> write_folded path results) !folded;
+  check_invariants results;
   match !compare with
   | Some baseline -> compare_bench ~rules ~baseline results
   | None -> ()

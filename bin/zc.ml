@@ -32,11 +32,11 @@ let codecs jobs =
   [
     ("bzip2", ((fun b -> Compress.Bzip2.compress ~jobs b),
                Compress.Bzip2.decompress));
-    ("gzip", ((fun b -> Compress.Rfc1951.Gzip.compress b),
-              Compress.Rfc1951.Gzip.decompress));
-    ("zlib", ((fun b -> Compress.Rfc1951.Zlib.compress b),
-              Compress.Rfc1951.Zlib.decompress));
-    ("deflate", ((fun b -> Compress.Rfc1951.deflate b), Compress.Rfc1951.inflate));
+    ("gzip", ((fun b -> Compress.Deflate.Gzip.compress b),
+              Compress.Deflate.Gzip.decompress));
+    ("zlib", ((fun b -> Compress.Deflate.Zlib.compress b),
+              Compress.Deflate.Zlib.decompress));
+    ("deflate", ((fun b -> Compress.Deflate.compress b), Compress.Deflate.decompress));
     ("lzw", (Compress.Lzw.compress, Compress.Lzw.decompress));
     ("huffman", (Compress.Huffman.encode, Compress.Huffman.decode));
     ("store", (Mitigation.Oblivious.store_pack, Mitigation.Oblivious.store_unpack));

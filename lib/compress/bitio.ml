@@ -157,17 +157,6 @@ module Lsb_writer = struct
     t.nbits <- t.nbits + count;
     flush_bytes t
 
-  let add_huffman t ~code ~length =
-    (* RFC 1951: Huffman codes are packed most significant bit first, so
-       reverse before the LSB-first append. *)
-    let rev = ref 0 in
-    let v = ref code in
-    for _ = 1 to length do
-      rev := (!rev lsl 1) lor (!v land 1);
-      v := !v lsr 1
-    done;
-    add_bits t ~value:!rev ~count:length
-
   let align_byte t =
     if t.nbits > 0 then begin
       ensure t 1;

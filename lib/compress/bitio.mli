@@ -44,9 +44,9 @@ end
 
 (** LSB-first bit stream, the byte-level convention of RFC 1951: bit [k]
     of the stream lives in byte [k/8] at bit position [k mod 8] counted
-    from the least significant bit.  Huffman codes go through
-    [add_huffman]/[read_huffman_bit], which reverse the code's bits as the
-    RFC requires. *)
+    from the least significant bit.  The RFC sends a Huffman code most
+    significant bit first, so its writer passes [add_bits] the code with
+    its bits reversed. *)
 module Lsb_writer : sig
   type t
 
@@ -57,10 +57,6 @@ module Lsb_writer : sig
       RFC 1951 uses for everything except Huffman codes.
       @raise Invalid_argument if [count] not in 0..24 or the value is too
       wide. *)
-
-  val add_huffman : t -> code:int -> length:int -> unit
-  (** Append a Huffman code: most significant of its [length] bits
-      first. *)
 
   val align_byte : t -> unit
 

@@ -1,11 +1,11 @@
-(** Gzip-style single-stream container and a multi-entry archive over the
-    DEFLATE-style compressor.
+(** Gzip-style single-stream container and a multi-entry archive over
+    {!Deflate}.
 
     The framing mirrors gzip/zip structure — magic, method id, CRC-32 of
-    the plaintext, size fields, per-entry directory — around this
-    library's own DEFLATE-shaped stream (which is not bit-compatible with
-    RFC 1951, so neither container claims interoperability; the integrity
-    and API semantics are the point). *)
+    the plaintext, size fields, per-entry directory — around raw RFC 1951
+    bodies; [Stream]'s method byte 0x08 is ZIP's number for DEFLATE.  The
+    framing itself is this library's own, so neither container claims
+    interoperability; the integrity and API semantics are the point. *)
 
 exception Corrupt of string
 (** Raised by the decoders on malformed framing or checksum mismatch. *)

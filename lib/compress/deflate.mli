@@ -1,10 +1,14 @@
-(** DEFLATE-style container over the {!Lz77} token stream.
+(** Bit-exact RFC 1951 DEFLATE, with the RFC 1950 (zlib) and RFC 1952
+    (gzip) wrappers.
 
-    Tokens are entropy-coded with two canonical Huffman tables — one for
-    literals/lengths, one for distances — using RFC 1951's length and
-    distance code ranges with extra bits.  The header stores the raw code
-    length arrays instead of RFC 1951's code-length code, so the output is
-    DEFLATE-shaped rather than bit-compatible with zlib. *)
+    The encoder entropy-codes the {!Lz77} token stream — zlib's matcher
+    — in stored, fixed-Huffman or dynamic-Huffman blocks, with the
+    code-length code and its repeat symbols and LSB-first packing.  The
+    decoder inflates any block sequence.  Both interoperate with any
+    standard inflate and deflate (validated against Python's zlib; see
+    test/fixtures).  It is the format of the Gzip/Zlib targets of the
+    paper's Section IV-B, and the payload of [Frame]'s [deflate] codec
+    and of {!Container}. *)
 
 val length_code : int -> int * int * int
 (** [length_code len] is [(symbol, extra_bits, extra_value)] for a match
@@ -15,29 +19,19 @@ val distance_code : int -> int * int * int
 (** [distance_code dist] for a distance in 1..32768; symbols 0..29.
     @raise Invalid_argument out of range. *)
 
-val base_of_length_code : int -> int * int
-(** [(base_length, extra_bits)] of a length symbol. *)
+type block_kind = Stored | Fixed | Dynamic
 
-val base_of_distance_code : int -> int * int
-
-val encode_tokens : Lz77.token list -> bytes
-
-val decode_tokens_result : bytes -> (Lz77.token list, Codec_error.t) result
-(** Safe token decoder: truncated or corrupt input is an [Error]; no
-    exception escapes this boundary. *)
-
-val decode_tokens : bytes -> Lz77.token list
-(** [Codec_error.unwrap] of {!decode_tokens_result}.
-    @raise Failure on malformed input. *)
-
-val compress : ?strategy:Lz77.strategy -> ?max_chain:int -> bytes -> bytes
-(** [Lz77.tokenize] + [encode_tokens]. *)
+val compress :
+  ?kind:block_kind -> ?strategy:Lz77.strategy -> ?max_chain:int -> bytes ->
+  bytes
+(** A raw DEFLATE stream: one final block of the requested kind (default
+    [Dynamic]) over the {!Lz77.tokenize_array} tokens, or stored blocks
+    of up to 65535 bytes each. *)
 
 val decompress_result : bytes -> (bytes, Codec_error.t) result
-(** The bytes {!decode_tokens_result}'s tokens spell, decoded without
-    building the token list.  Parse errors are the same as
-    {!decode_tokens_result}'s; a well-formed stream with an out-of-window
-    match distance is an error too, with no offset. *)
+(** Safe inflate of a raw DEFLATE stream (any block sequence):
+    truncated or corrupt input, including a match reaching before the
+    start of the output, is an [Error]; no exception escapes. *)
 
 val decompress_sub_result :
   bytes -> off:int -> len:int -> (bytes, Codec_error.t) result
@@ -50,23 +44,42 @@ val decompress : bytes -> bytes
 (** [Codec_error.unwrap] of {!decompress_result}.
     @raise Failure on malformed input. *)
 
-(** {2 Decoded output}
+val decode_tokens_result : bytes -> (Lz77.token list, Codec_error.t) result
+(** The tokens a raw DEFLATE stream spells, a stored block's bytes as
+    literals.  Errors are {!decompress_result}'s. *)
 
-    The buffer both this module and {!Rfc1951} decode into: bytes that
-    double when they fill. *)
+val decode_tokens : bytes -> Lz77.token list
+(** [Codec_error.unwrap] of {!decode_tokens_result}.
+    @raise Failure on malformed input. *)
 
-type output = { mutable buf : bytes; mutable len : int }
-(** The first [len] bytes of [buf] are the output so far. *)
+(** RFC 1950 zlib wrapper: 2-byte header + DEFLATE + Adler-32. *)
+module Zlib : sig
+  val compress : ?kind:block_kind -> bytes -> bytes
 
-val output : int -> output
-(** An empty output with room for the given number of bytes. *)
+  val decompress_result : bytes -> (bytes, Codec_error.t) result
+  (** Safe decoder; stream errors carry the offset within the whole
+      zlib member.  A window size above 32 KiB (CINFO > 7) is an error
+      at offset 0. *)
 
-val add_byte : output -> char -> unit
+  val decompress : bytes -> bytes
+  (** [Codec_error.unwrap] of {!decompress_result}.
+      @raise Failure on a bad header, stream or checksum. *)
+end
 
-val add_match : output -> distance:int -> length:int -> unit
-(** Append the [length] bytes that start [distance] bytes back; a match
-    longer than its distance repeats the bytes it appends.
-    @raise Invalid_argument if [distance] is not in [1 .. len]. *)
+(** RFC 1952 gzip wrapper: magic/method/flags header (optional file
+    name) + DEFLATE + CRC-32 + ISIZE. *)
+module Gzip : sig
+  val compress : ?kind:block_kind -> ?name:string -> bytes -> bytes
 
-val contents : output -> bytes
-(** The output so far; may share [buf]. *)
+  val decompress_result : bytes -> (bytes, Codec_error.t) result
+  (** Safe decoder; stream errors carry the offset within the whole
+      gzip member.  Reserved FLG bits (0xE0) are an error at offset 3. *)
+
+  val decompress : bytes -> bytes
+  (** [Codec_error.unwrap] of {!decompress_result}.  Handles the
+      FNAME/FEXTRA/FCOMMENT/FHCRC header fields.
+      @raise Failure on a bad header, stream, checksum or size. *)
+
+  val original_name : bytes -> string option
+  (** The FNAME field, when present.  @raise Failure on a bad header. *)
+end

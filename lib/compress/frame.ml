@@ -28,10 +28,12 @@ module Leak_audit = Zipchannel_obs_leak.Leak_audit
 
 type codec = Deflate | Gzip | Bzip2 | Lzw
 
-let codec_id = function Deflate -> 1 | Gzip -> 2 | Bzip2 -> 3 | Lzw -> 4
+(* Id 1 is retired: it named a DEFLATE-shaped payload that no inflate
+   reads, so a stream carrying it is an unknown codec, not misread. *)
+let codec_id = function Deflate -> 5 | Gzip -> 2 | Bzip2 -> 3 | Lzw -> 4
 
 let codec_of_id = function
-  | 1 -> Some Deflate
+  | 5 -> Some Deflate
   | 2 -> Some Gzip
   | 3 -> Some Bzip2
   | 4 -> Some Lzw
@@ -81,14 +83,14 @@ let deflate_max_chain = 32
 let compress_chunk codec data =
   match codec with
   | Deflate -> Deflate.compress ~max_chain:deflate_max_chain data
-  | Gzip -> Rfc1951.Gzip.compress data
+  | Gzip -> Deflate.Gzip.compress data
   | Bzip2 -> Bzip2.compress data
   | Lzw -> Lzw.compress data
 
 let decompress_chunk codec data =
   match codec with
   | Deflate -> Deflate.decompress_result data
-  | Gzip -> Rfc1951.Gzip.decompress_result data
+  | Gzip -> Deflate.Gzip.decompress_result data
   | Bzip2 -> Bzip2.decompress_result data
   | Lzw -> Lzw.decompress_result data
 

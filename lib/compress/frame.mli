@@ -12,6 +12,7 @@
     Wire layout (integers little-endian):
     {v
       stream header  "ZCF1" | codec id (1 byte) | 3 reserved zero bytes
+                     (ids: deflate 5, gzip 2, bzip2 3, lzw 4)
       data frame     0x01 | ulen u32 | clen u32 | crc32(payload) | payload
       flush frame    0x02 | same shape (ulen = clen = 0 allowed)
       trailer        0xFF | total ulen u64 | crc32(plaintext)
@@ -69,10 +70,11 @@ val compress_stream :
     underlying codec itself allocates and a few words of pipeline
     bookkeeping.
 
-    The [Deflate] codec uses the frame profile of the compressor
-    (bounded match-chain walk): decoding interoperates with every
-    conforming inflate, but framed deflate output differs from (and is
-    faster to produce than) {!Deflate.compress} on the same bytes. *)
+    A [Deflate] frame's payload is a raw RFC 1951 stream, which any
+    conforming inflate decodes.  It uses the frame profile of the
+    compressor (bounded match-chain walk), so framed deflate output
+    differs from (and is faster to produce than) {!Deflate.compress} on
+    the same bytes. *)
 
 val decompress_stream :
   ?jobs:int ->

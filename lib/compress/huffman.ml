@@ -224,13 +224,33 @@ type decoder = {
   table : int array;
 }
 
+(* Each byte with its bits reversed. *)
+let rev8 =
+  String.init 256 (fun b ->
+      let r = ref 0 in
+      for k = 0 to 7 do
+        if b land (1 lsl k) <> 0 then r := !r lor (1 lsl (7 - k))
+      done;
+      Char.chr !r)
+
+(* The low [n] (at most 16) bits of [v], reversed. *)
+let reverse v n =
+  ((Char.code rev8.[v land 0xff] lsl 8) lor Char.code rev8.[(v lsr 8) land 0xff])
+  lsr (16 - n)
+
 (* Canonical codes as {!canonical_codes} assigns them, except that
    oversubscribed lengths are accepted: a code that does not fit in its
    length can never be read, and the others still form a prefix code,
    because each length's codes start past every shorter code's
    extension.  So the table holds exactly the symbols a bit-serial
-   canonical decoder can reach, at the same bits. *)
-let decoder_of_lengths lengths =
+   canonical decoder can reach, at the same bits.
+
+   With [lsb], each level is indexed by its bits in stream order, first
+   bit lowest, as zlib builds its inflate tables: RFC 1951's LSB-first
+   peek then indexes it with no bit reversal per symbol.  An entry's
+   index is its MSB-first index reversed, so a code's entries are the
+   ones whose low bits are the code reversed. *)
+let table_of_lengths ~lsb lengths =
   let n = Array.length lengths in
   let max_len = ref 0 in
   for s = 0 to n - 1 do
@@ -273,32 +293,45 @@ let decoder_of_lengths lengths =
     end
   done;
   let table = Array.make !size 0 in
+  let index bits i = if lsb then reverse i bits else i in
   let next = ref (1 lsl root) in
   for p = 0 to (1 lsl root) - 1 do
     let w = Char.code (Bytes.unsafe_get width p) in
     if w > 0 then begin
-      table.(p) <- (!next lsl 5) lor 16 lor w;
+      table.(index root p) <- (!next lsl 5) lor 16 lor w;
       next := !next + (1 lsl w)
     end
   done;
-  let fill at count leaf =
-    for i = at to at + count - 1 do
-      table.(i) <- leaf
-    done
+  (* Every entry of the [bits]-bit level at [at] whose first [len] bits
+     are [code]. *)
+  let fill at ~bits ~code ~len leaf =
+    if lsb then begin
+      let rc = reverse code len in
+      for k = 0 to (1 lsl (bits - len)) - 1 do
+        table.(at + rc + (k lsl len)) <- leaf
+      done
+    end
+    else
+      for i = code lsl (bits - len) to ((code + 1) lsl (bits - len)) - 1 do
+        table.(at + i) <- leaf
+      done
   in
   for s = 0 to n - 1 do
     let l = lengths.(s) and c = codes.(s) in
     if c >= 0 then begin
       let leaf = (s lsl 5) lor l in
-      if l <= root then fill (c lsl (root - l)) (1 lsl (root - l)) leaf
+      if l <= root then fill 0 ~bits:root ~code:c ~len:l leaf
       else begin
-        let link = table.(c lsr (l - root)) in
-        let w = link land 15 and rest = c land ((1 lsl (l - root)) - 1) in
-        fill ((link lsr 5) + (rest lsl (w - (l - root)))) (1 lsl (w - (l - root))) leaf
+        let link = table.(index root (c lsr (l - root))) in
+        fill (link lsr 5) ~bits:(link land 15)
+          ~code:(c land ((1 lsl (l - root)) - 1))
+          ~len:(l - root) leaf
       end
     end
   done;
   { max_len; sub_bits = max_len - root; table }
+
+let decoder_of_lengths lengths = table_of_lengths ~lsb:false lengths
 
 (* The entry for [bits], the next [max_len] stream bits, first bit most
    significant.  [bits] is below [2^max_len], so the root index is below
@@ -330,25 +363,29 @@ let[@inline] read_symbol r d =
   Bitio.Reader.skip r len;
   e lsr 5
 
-(* Each byte with its bits reversed. *)
-let rev8 =
-  String.init 256 (fun b ->
-      let r = ref 0 in
-      for k = 0 to 7 do
-        if b land (1 lsl k) <> 0 then r := !r lor (1 lsl (7 - k))
-      done;
-      Char.chr !r)
+(* RFC 1951 sends a Huffman code most significant bit first in its
+   LSB-first stream, so a writer takes each code bit-reversed. *)
+let lsb_codes lengths =
+  Array.map
+    (fun { length; bits } -> (reverse bits length lsl 4) lor length)
+    (canonical_codes lengths)
 
-(* RFC 1951 packs a code's first bit lowest, so the LSB-first peek is
-   bit-reversed (over [max_len] bits) into the table's index order. *)
-let[@inline] read_symbol_lsb r d =
+type lsb_decoder = Lsb of decoder [@@unboxed]
+
+let lsb_decoder_of_lengths lengths = Lsb (table_of_lengths ~lsb:true lengths)
+
+(* {!read_symbol}'s entries, so its errors too: the peek's zero padding
+   past the end sits in its high bits, the bits a code has not reached. *)
+let[@inline] read_symbol_lsb r (Lsb d) =
   let bits = Bitio.Lsb_reader.peek r d.max_len in
-  let rev =
-    ((Char.code (String.unsafe_get rev8 (bits land 0xff)) lsl 8)
-    lor Char.code (String.unsafe_get rev8 (bits lsr 8)))
-    lsr (16 - d.max_len)
+  let root = d.max_len - d.sub_bits in
+  let e = Array.unsafe_get d.table (bits land ((1 lsl root) - 1)) in
+  let e =
+    if e land 16 = 0 then e
+    else
+      Array.unsafe_get d.table
+        ((e lsr 5) + ((bits lsr root) land ((1 lsl (e land 15)) - 1)))
   in
-  let e = entry d rev in
   let len = e land 15 in
   if len = 0 then begin
     Bitio.Lsb_reader.skip r d.max_len;

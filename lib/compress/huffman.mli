@@ -47,9 +47,27 @@ val read_symbol : Bitio.Reader.t -> decoder -> int
     length in bits before failing.
     @raise Failure on a code not present in the table. *)
 
-val read_symbol_lsb : Bitio.Lsb_reader.t -> decoder -> int
-(** {!read_symbol} over RFC 1951's LSB-first packing, where a Huffman
-    code still arrives most significant bit first.
+(** {2 RFC 1951's LSB-first packing}
+
+    A Huffman code still goes most significant bit first into a stream
+    whose other fields go least significant bit first. *)
+
+val lsb_codes : int array -> int array
+(** The canonical codes of a length array for {!Bitio.Lsb_writer}, each
+    bit-reversed once here: [(reversed_bits lsl 4) lor length], 0 for a
+    symbol without a code. *)
+
+type lsb_decoder
+(** A {!decoder} with each table level indexed in stream order, first
+    bit lowest. *)
+
+val lsb_decoder_of_lengths : int array -> lsb_decoder
+(** As {!decoder_of_lengths}.  @raise Invalid_argument on a length above
+    15. *)
+
+val read_symbol_lsb : Bitio.Lsb_reader.t -> lsb_decoder -> int
+(** {!read_symbol} over the LSB-first stream: the same symbols, bits
+    consumed and failures.
     @raise Failure on a code not present in the table. *)
 
 val encode : bytes -> bytes

@@ -75,7 +75,7 @@ let finish e =
   let rec build i acc = if i < 0 then acc else build (i - 1) (buf.(i) :: acc) in
   build (e.n - 1) []
 
-(* The retained byte-at-a-time reference tokenizer.  [tokenize] below
+(* The retained byte-at-a-time reference tokenizer.  [tokenize_array] below
    must produce the identical token sequence for every input; the
    differential suite checks exactly that. *)
 let tokenize_ref ?(strategy = Greedy) ?(max_chain = 128) input =
@@ -313,28 +313,6 @@ let tokenize_emitter ?(strategy = Greedy) ?(max_chain = 128) input =
   telemetry e;
   e
 
-let tokenize ?strategy ?max_chain input =
-  let e = tokenize_emitter ?strategy ?max_chain input in
-  let buf = e.buf in
-  let rec build i acc = if i < 0 then acc else build (i - 1) (buf.(i) :: acc) in
-  build (e.n - 1) []
-
 let tokenize_array ?strategy ?max_chain input =
   let e = tokenize_emitter ?strategy ?max_chain input in
   Array.sub e.buf 0 e.n
-
-let detokenize tokens =
-  let out = Buffer.create 256 in
-  List.iter
-    (fun token ->
-      match token with
-      | Literal c -> Buffer.add_char out c
-      | Match { length; distance } ->
-          let start = Buffer.length out - distance in
-          if start < 0 then invalid_arg "Lz77.detokenize: distance too large";
-          (* Byte-by-byte copy so that overlapping matches self-extend. *)
-          for k = 0 to length - 1 do
-            Buffer.add_char out (Buffer.nth out (start + k))
-          done)
-    tokens;
-  Buffer.to_bytes out

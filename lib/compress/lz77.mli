@@ -35,7 +35,7 @@ type strategy = Greedy | Lazy
 
 val pp_token : Format.formatter -> token -> unit
 
-val tokenize : ?strategy:strategy -> ?max_chain:int -> bytes -> token list
+val tokenize_array : ?strategy:strategy -> ?max_chain:int -> bytes -> token array
 (** [max_chain] bounds the hash-chain walk (default 128).  [Greedy]
     (default) takes every match immediately; [Lazy] is zlib's
     deflate_slow evaluation — the paper's Fig. 2 gadget location — which
@@ -44,19 +44,10 @@ val tokenize : ?strategy:strategy -> ?max_chain:int -> bytes -> token list
     staging of the input; the token sequence is identical to
     {!tokenize_ref} on every input. *)
 
-val tokenize_array : ?strategy:strategy -> ?max_chain:int -> bytes -> token array
-(** The {!tokenize} sequence as a fresh array — same tokens in the same
-    order; lets hot consumers (e.g. {!Deflate.compress}) skip the
-    intermediate list. *)
-
 val tokenize_ref : ?strategy:strategy -> ?max_chain:int -> bytes -> token list
 (** The retained byte-at-a-time reference tokenizer — the executable
-    specification {!tokenize} is differential-tested against.  Same
-    signature, same output, no word-level fast paths. *)
-
-val detokenize : token list -> bytes
-(** @raise Invalid_argument on a match reaching before the start of the
-    output. *)
+    specification {!tokenize_array} is differential-tested against.
+    Same arguments, same tokens, no word-level fast paths. *)
 
 val hash_head_trace : bytes -> int array
 (** The successive values of [ins_h] at each INSERT_STRING call — index

@@ -36,24 +36,17 @@ let all =
       max_plain = 4096;
     };
     {
-      name = "rfc1951";
-      compress = (fun b -> C.Rfc1951.deflate b);
-      decode = C.Rfc1951.inflate_result;
-      decode_exn = C.Rfc1951.inflate;
-      max_plain = 4096;
-    };
-    {
       name = "zlib";
-      compress = (fun b -> C.Rfc1951.Zlib.compress b);
-      decode = C.Rfc1951.Zlib.decompress_result;
-      decode_exn = C.Rfc1951.Zlib.decompress;
+      compress = (fun b -> C.Deflate.Zlib.compress b);
+      decode = C.Deflate.Zlib.decompress_result;
+      decode_exn = C.Deflate.Zlib.decompress;
       max_plain = 4096;
     };
     {
       name = "gzip";
-      compress = (fun b -> C.Rfc1951.Gzip.compress b);
-      decode = C.Rfc1951.Gzip.decompress_result;
-      decode_exn = C.Rfc1951.Gzip.decompress;
+      compress = (fun b -> C.Deflate.Gzip.compress b);
+      decode = C.Deflate.Gzip.decompress_result;
+      decode_exn = C.Deflate.Gzip.decompress;
       max_plain = 4096;
     };
     {

@@ -2,7 +2,7 @@
 
     One entry per public decoder boundary of {!Zipchannel_compress}:
     the blocked pipelines (bzip2), the DEFLATE family (deflate,
-    rfc1951, zlib, gzip), the dictionary and entropy coders (lzw,
+    zlib, gzip), the dictionary and entropy coders (lzw,
     huffman), the byte-level stage (rle1) and the containers (stream,
     archive).  Each entry pairs the compressor (used to build the valid
     corpus) with both decode APIs: the [result]-returning safe decoder

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the rfc1951 interop fixtures from the .plain files.
+"""Regenerate the RFC 1951 interop fixtures from the .plain files.
 
 For each <name>.plain this writes, using only the Python standard library:
   <name>.deflate  raw DEFLATE stream            (zlib.compressobj wbits=-15)
@@ -8,8 +8,9 @@ For each <name>.plain this writes, using only the Python standard library:
 
 The outputs are deterministic, so the fixtures can be re-created and
 diffed at any time.  test/test_rfc1951.ml decodes all three framings with
-Rfc1951.inflate / Zlib.decompress / Gzip.decompress and compares against
-the .plain bytes.
+Deflate.decompress / Deflate.Zlib.decompress / Deflate.Gzip.decompress and
+compares against the .plain bytes.  check_interop.py is the other
+direction: Python's zlib decodes what zc writes.
 """
 
 import glob

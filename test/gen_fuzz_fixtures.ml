@@ -60,7 +60,6 @@ let reproducers () =
     (find "huffman", truncated (find "huffman") ~reason:"truncated" plain);
     (find "bzip2", truncated (find "bzip2") ~reason:"truncated" plain);
     (find "deflate", truncated (find "deflate") ~reason:"truncated" plain);
-    (find "rfc1951", truncated (find "rfc1951") ~reason:"truncated" plain);
     (find "lz4", truncated (find "lz4") ~reason:"truncated" plain);
     (find "snappy", truncated (find "snappy") ~reason:"truncated" plain);
     (* Forged-length decompression bombs. *)

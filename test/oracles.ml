@@ -272,3 +272,23 @@ module Bwt_ref = struct
       (perm, !work)
     end
 end
+
+(* The bytes [Lz77] tokens spell, one token at a time: the round-trip
+   reference for the tokenizer, which no codec decodes through.
+   @raise Invalid_argument on a match reaching before the start of the
+   output. *)
+let detokenize tokens =
+  let out = Buffer.create 256 in
+  Array.iter
+    (fun token ->
+      match token with
+      | Zipchannel_compress.Lz77.Literal c -> Buffer.add_char out c
+      | Zipchannel_compress.Lz77.Match { length; distance } ->
+          let start = Buffer.length out - distance in
+          if start < 0 then invalid_arg "Lz77.detokenize: distance too large";
+          (* Byte-by-byte copy so that overlapping matches self-extend. *)
+          for k = 0 to length - 1 do
+            Buffer.add_char out (Buffer.nth out (start + k))
+          done)
+    tokens;
+  Buffer.to_bytes out

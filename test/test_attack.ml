@@ -603,6 +603,25 @@ let test_memcomp_seed_changes_secret () =
     (secret 1 = secret 2);
   Alcotest.(check bool) "same seed, same secret" true (secret 5 = secret 5)
 
+(* The per-frame length oracle against framed RFC 1951 deflate, at the
+   CI daemon smoke's settings but in process: 64-byte frames leak every
+   digit of a 4-digit secret. *)
+let test_chunk_oracle_recovers () =
+  match
+    Chunk_oracle.sweep ~seed:7 ~secret_len:4 ~body_len:2048 ~trials:1
+      ~frame_sizes:[ 64 ]
+      ~mk_probe:(fun ~frame_size ->
+        Chunk_oracle.local_probe ~codec:Zipchannel_compress.Frame.Deflate
+          ~frame_size ())
+      ()
+  with
+  | [ r ] ->
+      Alcotest.(check (pair int int)) "positions recovered" (4, 4)
+        (r.Chunk_oracle.per_byte_correct, r.Chunk_oracle.positions);
+      Alcotest.(check bool) "channel carries information" true
+        (r.Chunk_oracle.capacity_bits > 0.)
+  | l -> Alcotest.failf "%d results for one frame size" (List.length l)
+
 let test_corpus_deterministic () =
   let a = Corpus.repetitiveness (Prng.create ~seed:5 ()) in
   let b = Corpus.repetitiveness (Prng.create ~seed:5 ()) in
@@ -672,4 +691,6 @@ let suite =
         test_memcomp_jobs_invariant;
       Alcotest.test_case "memcomp seed changes secret" `Quick
         test_memcomp_seed_changes_secret;
+      Alcotest.test_case "chunk oracle recovers 64-byte frames" `Quick
+        test_chunk_oracle_recovers;
     ] )

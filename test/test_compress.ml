@@ -74,12 +74,11 @@ let test_bitio_lsb_byte_layout () =
     (Char.code (Bytes.get (Bitio.Lsb_writer.to_bytes w) 0))
 
 let test_bitio_lsb_huffman_reversal () =
-  (* A Huffman code is stored most significant bit first: code 0b110 of
-     length 3 occupies stream bits 1,1,0 -> byte 0b011. *)
-  let w = Bitio.Lsb_writer.create () in
-  Bitio.Lsb_writer.add_huffman w ~code:0b110 ~length:3;
-  Alcotest.(check int) "reversed into the stream" 0b011
-    (Char.code (Bytes.get (Bitio.Lsb_writer.to_bytes w) 0))
+  (* A Huffman code is stored most significant bit first in the LSB-first
+     stream: after the header bits 1, 1, 0, the fixed code 10010001 of 'a'
+     and the 7 zero bits of end-of-block pack into zlib's bytes. *)
+  Alcotest.(check string) "fixed block of \"a\"" "\x4b\x04\x00"
+    (Bytes.to_string (Deflate.compress ~kind:Deflate.Fixed (Bytes.of_string "a")))
 
 let test_bitio_lsb_align () =
   let w = Bitio.Lsb_writer.create () in
@@ -515,20 +514,20 @@ let test_lz77_hash_head_trace () =
 
 let test_lz77_finds_repetition () =
   let input = Bytes.of_string "abcabcabcabc" in
-  let tokens = Lz77.tokenize input in
+  let tokens = Lz77.tokenize_array input in
   let has_match =
-    List.exists (function Lz77.Match _ -> true | Lz77.Literal _ -> false) tokens
+    Array.exists (function Lz77.Match _ -> true | Lz77.Literal _ -> false) tokens
   in
   Alcotest.(check bool) "found a match" true has_match;
-  Alcotest.check bytes_testable "detokenize" input (Lz77.detokenize tokens)
+  Alcotest.check bytes_testable "detokenize" input (Oracles.detokenize tokens)
 
 let test_lz77_overlapping_match () =
   (* "aaaa..." produces a self-referencing match with distance 1. *)
   let input = Bytes.make 100 'a' in
-  let tokens = Lz77.tokenize input in
-  Alcotest.check bytes_testable "detokenize overlap" input (Lz77.detokenize tokens);
+  let tokens = Lz77.tokenize_array input in
+  Alcotest.check bytes_testable "detokenize overlap" input (Oracles.detokenize tokens);
   let found =
-    List.exists
+    Array.exists
       (function Lz77.Match { distance = 1; _ } -> true | _ -> false)
       tokens
   in
@@ -537,7 +536,7 @@ let test_lz77_overlapping_match () =
 let test_lz77_bad_distance () =
   Alcotest.check_raises "bad distance"
     (Invalid_argument "Lz77.detokenize: distance too large") (fun () ->
-      ignore (Lz77.detokenize [ Lz77.Match { length = 3; distance = 5 } ]))
+      ignore (Oracles.detokenize [| Lz77.Match { length = 3; distance = 5 } |]))
 
 let test_lz77_lazy_roundtrip () =
   let t = prng () in
@@ -553,7 +552,7 @@ let test_lz77_lazy_roundtrip () =
   List.iter
     (fun input ->
       Alcotest.check bytes_testable "lazy roundtrip" input
-        (Lz77.detokenize (Lz77.tokenize ~strategy:Lz77.Lazy input)))
+        (Oracles.detokenize (Lz77.tokenize_array ~strategy:Lz77.Lazy input)))
     inputs
 
 let test_lz77_lazy_defers_match () =
@@ -561,15 +560,15 @@ let test_lz77_lazy_defers_match () =
      ("abc") is available, but the next position starts the longer
      "bcdef"; deflate_slow emits the literal and takes the longer match. *)
   let input = Bytes.of_string "abc bcdef xabcdef" in
-  let lazy_tokens = Lz77.tokenize ~strategy:Lz77.Lazy input in
+  let lazy_tokens = Lz77.tokenize_array ~strategy:Lz77.Lazy input in
   let has_len n =
-    List.exists
+    Array.exists
       (function Lz77.Match { length; _ } -> length = n | Lz77.Literal _ -> false)
   in
   Alcotest.(check bool) "lazy finds the 5-byte match" true
     (has_len 5 lazy_tokens);
   Alcotest.check bytes_testable "still exact" input
-    (Lz77.detokenize lazy_tokens)
+    (Oracles.detokenize lazy_tokens)
 
 let test_lz77_lazy_not_worse_on_text () =
   (* On long-match-dominated input deferral can cost a little (extra
@@ -585,14 +584,14 @@ let qcheck_lz77 =
     QCheck.(string_of_size Gen.(0 -- 1000))
     (fun s ->
       let b = Bytes.of_string s in
-      Bytes.equal b (Lz77.detokenize (Lz77.tokenize b)))
+      Bytes.equal b (Oracles.detokenize (Lz77.tokenize_array b)))
 
 let qcheck_lz77_lazy =
   QCheck.Test.make ~name:"lz77 lazy tokenize/detokenize" ~count:200
     QCheck.(string_of_size Gen.(0 -- 1000))
     (fun s ->
       let b = Bytes.of_string s in
-      Bytes.equal b (Lz77.detokenize (Lz77.tokenize ~strategy:Lz77.Lazy b)))
+      Bytes.equal b (Oracles.detokenize (Lz77.tokenize_array ~strategy:Lz77.Lazy b)))
 
 let test_deflate_code_tables () =
   Alcotest.(check (triple int int int)) "len 3" (257, 0, 0) (Deflate.length_code 3);
@@ -605,24 +604,26 @@ let test_deflate_code_tables () =
   Alcotest.check_raises "len 2" (Invalid_argument "Deflate.length_code")
     (fun () -> ignore (Deflate.length_code 2))
 
+(* Every value lands inside its symbol's range: the extra value fits in
+   the extra bits, and the range's base, [value - extra], is coded by
+   the same symbol with extra value 0. *)
+let check_code name code v =
+  let sym, bits, extra = code v in
+  if extra < 0 || extra lsr bits <> 0 || code (v - extra) <> (sym, bits, 0)
+  then Alcotest.failf "%s %d mis-coded (%d, %d, %d)" name v sym bits extra
+
 let test_deflate_all_lengths_roundtrip () =
   for len = 3 to 258 do
-    let sym, bits, v = Deflate.length_code len in
-    let base, bits' = Deflate.base_of_length_code sym in
-    Alcotest.(check int) "bits agree" bits bits';
-    Alcotest.(check int) "reconstructs" len (base + v)
+    check_code "length" Deflate.length_code len
   done
 
 let test_deflate_all_distances_roundtrip () =
   for dist = 1 to 32768 do
-    let sym, _, v = Deflate.distance_code dist in
-    let base, _ = Deflate.base_of_distance_code sym in
-    if base + v <> dist then
-      Alcotest.failf "distance %d mis-coded (%d + %d)" dist base v
+    check_code "distance" Deflate.distance_code dist
   done
 
 (* Decoders allocate little beyond their output: the Huffman table
-   decoder ~1 byte per output byte, the private deflate ~3 (a doubling
+   decoder ~1 byte per output byte, deflate ~3 (a doubling
    output buffer, then the exact-size copy).  Each case runs once
    unmeasured first, and the least of three measured runs counts: the
    allocation counters of domains that earlier tests ran and ended are

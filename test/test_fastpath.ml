@@ -213,8 +213,8 @@ let test_lz77_roundtrip_100k () =
   let prng = Prng.create ~seed:0xFA57 () in
   List.iter
     (fun (name, input, strategy) ->
-      let tokens = Lz77.tokenize ~strategy input in
-      Alcotest.check bytes_testable name input (Lz77.detokenize tokens))
+      let tokens = Lz77.tokenize_array ~strategy input in
+      Alcotest.check bytes_testable name input (Oracles.detokenize tokens))
     [
       ( "100k text greedy",
         Bytes.of_string (Lipsum.repetitive_file prng ~level:4 ~size:100_000),
@@ -233,7 +233,7 @@ let qcheck_lz77_roundtrip =
     (fun (lazy_strategy, s) ->
       let strategy = if lazy_strategy then Lz77.Lazy else Lz77.Greedy in
       let b = Bytes.of_string s in
-      Bytes.equal b (Lz77.detokenize (Lz77.tokenize ~strategy b)))
+      Bytes.equal b (Oracles.detokenize (Lz77.tokenize_array ~strategy b)))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel pipeline: jobs > 1 must be byte-identical to jobs = 1. *)

@@ -194,6 +194,23 @@ let test_decoder_errors () =
     match Frame.decompress_result bad with Ok _ | Error _ -> ()
   done
 
+(* Codec id 1 was a private DEFLATE-shaped payload; deflate frames now
+   carry RFC 1951 under id 5, and a stream naming the retired id is an
+   unknown codec to both decoders. *)
+let test_retired_codec_id () =
+  let packed = Frame.compress ~frame_size:1024 ~codec:Frame.Deflate (lipsum 3_000) in
+  Alcotest.(check int) "deflate id" 5 (Char.code (Bytes.get packed 4));
+  Alcotest.(check (option reject)) "id 1" None (Frame.codec_of_id 1);
+  let old = Bytes.copy packed in
+  Bytes.set old 4 '\001';
+  check_error ~reason:"unknown codec id" old;
+  match decode_chunked ~jobs:2 old with
+  | Ok _ -> Alcotest.fail "decompress_stream decoded codec id 1"
+  | Error e ->
+      Alcotest.(check (pair string string)) "decompress_stream"
+        ("frame", "unknown codec id")
+        (e.C.Codec_error.codec, e.C.Codec_error.reason)
+
 (* ------------------------------------------------------------------ *)
 (* Streaming entry points *)
 
@@ -401,6 +418,7 @@ let suite =
         test_decoder_chunking_invariant;
       Alcotest.test_case "flush points" `Quick test_flush_points_roundtrip;
       Alcotest.test_case "decoder errors" `Quick test_decoder_errors;
+      Alcotest.test_case "retired codec id 1" `Quick test_retired_codec_id;
       Alcotest.test_case "stream roundtrip at jobs" `Quick
         test_stream_roundtrip_jobs;
       Alcotest.test_case "stream stops at the trailer" `Quick

@@ -291,6 +291,7 @@ let qcheck_decode_table =
       let start = min cut_front (Bytes.length b) in
       let len = max 0 (Bytes.length b - start - cut_back) in
       let table = Huffman.decoder_of_lengths lengths in
+      let lsb_table = Huffman.lsb_decoder_of_lengths lengths in
       let oracle = Oracles.Huffman_ref.decoder_of_lengths lengths in
       let msb () =
         let r = Bitio.Reader.create ~start ~len b in
@@ -309,7 +310,7 @@ let qcheck_decode_table =
         let r = Bitio.Lsb_reader.create ~start ~len b in
         let r' = Bitio.Lsb_reader.create ~start ~len b in
         ( trace
-            ~read:(fun () -> Huffman.read_symbol_lsb r table)
+            ~read:(fun () -> Huffman.read_symbol_lsb r lsb_table)
             ~remaining:(fun () -> Bitio.Lsb_reader.bits_remaining r),
           trace
             ~read:(fun () ->

@@ -10,7 +10,7 @@ let bytes_testable =
 
 let roundtrip ?kind name input =
   Alcotest.check bytes_testable name input
-    (Rfc1951.inflate (Rfc1951.deflate ?kind input))
+    (Deflate.decompress (Deflate.compress ?kind input))
 
 let test_roundtrip_dynamic () =
   let t = prng () in
@@ -23,28 +23,28 @@ let test_roundtrip_dynamic () =
 
 let test_roundtrip_fixed () =
   let t = prng () in
-  roundtrip ~kind:Rfc1951.Fixed "fixed text"
+  roundtrip ~kind:Deflate.Fixed "fixed text"
     (Bytes.of_string (Lipsum.paragraph t));
-  roundtrip ~kind:Rfc1951.Fixed "fixed empty" Bytes.empty;
-  roundtrip ~kind:Rfc1951.Fixed "fixed random" (Prng.bytes t 3000)
+  roundtrip ~kind:Deflate.Fixed "fixed empty" Bytes.empty;
+  roundtrip ~kind:Deflate.Fixed "fixed random" (Prng.bytes t 3000)
 
 let test_roundtrip_stored () =
   let t = prng () in
-  roundtrip ~kind:Rfc1951.Stored "stored" (Prng.bytes t 1000);
-  roundtrip ~kind:Rfc1951.Stored "stored empty" Bytes.empty;
+  roundtrip ~kind:Deflate.Stored "stored" (Prng.bytes t 1000);
+  roundtrip ~kind:Deflate.Stored "stored empty" Bytes.empty;
   (* Multiple stored blocks: above the 65535 per-block limit. *)
-  roundtrip ~kind:Rfc1951.Stored "stored 100k" (Prng.bytes t 100_000)
+  roundtrip ~kind:Deflate.Stored "stored 100k" (Prng.bytes t 100_000)
 
 let test_compresses_text () =
   let t = prng () in
   let text = Bytes.of_string (Lipsum.repetitive_file t ~level:3 ~size:20_000) in
-  let enc = Rfc1951.deflate text in
+  let enc = Deflate.compress text in
   Alcotest.(check bool) "dynamic block compresses" true
     (Bytes.length enc < Bytes.length text / 3)
 
 let test_malformed_rejected () =
   let expect_failure name data =
-    match Rfc1951.inflate data with
+    match Deflate.decompress data with
     | _ -> Alcotest.failf "%s: should have failed" name
     | exception Failure _ -> ()
   in
@@ -54,10 +54,10 @@ let test_malformed_rejected () =
 
 let test_stored_length_check () =
   (* Corrupt NLEN of a stored block. *)
-  let enc = Rfc1951.deflate ~kind:Rfc1951.Stored (Bytes.of_string "data") in
+  let enc = Deflate.compress ~kind:Deflate.Stored (Bytes.of_string "data") in
   let bad = Bytes.copy enc in
   Bytes.set bad 3 (Char.chr (Char.code (Bytes.get bad 3) lxor 0xff));
-  match Rfc1951.inflate bad with
+  match Deflate.decompress bad with
   | _ -> Alcotest.fail "should reject bad NLEN"
   | exception Failure _ -> ()
 
@@ -77,21 +77,21 @@ let test_inflate_zlib_streams () =
   List.iter
     (fun name ->
       Alcotest.check bytes_testable ("inflate " ^ name) (fixture name "plain")
-        (Rfc1951.inflate (fixture name "deflate")))
+        (Deflate.decompress (fixture name "deflate")))
     fixture_names
 
 let test_unzlib_streams () =
   List.iter
     (fun name ->
       Alcotest.check bytes_testable ("unzlib " ^ name) (fixture name "plain")
-        (Rfc1951.Zlib.decompress (fixture name "zlib")))
+        (Deflate.Zlib.decompress (fixture name "zlib")))
     fixture_names
 
 let test_gunzip_streams () =
   List.iter
     (fun name ->
       Alcotest.check bytes_testable ("gunzip " ^ name) (fixture name "plain")
-        (Rfc1951.Gzip.decompress (fixture name "gz")))
+        (Deflate.Gzip.decompress (fixture name "gz")))
     fixture_names
 
 (* ------------------------------------------------------------------ *)
@@ -101,69 +101,126 @@ let test_zlib_wrapper () =
   let t = prng () in
   let data = Prng.bytes t 4000 in
   Alcotest.check bytes_testable "roundtrip" data
-    (Rfc1951.Zlib.decompress (Rfc1951.Zlib.compress data));
-  let enc = Rfc1951.Zlib.compress data in
+    (Deflate.Zlib.decompress (Deflate.Zlib.compress data));
+  let enc = Deflate.Zlib.compress data in
   Alcotest.(check int) "CMF is 0x78" 0x78 (Char.code (Bytes.get enc 0));
   Alcotest.(check int) "header check" 0
     (((Char.code (Bytes.get enc 0) * 256) + Char.code (Bytes.get enc 1)) mod 31)
 
+(* [decode bad] is a [codec] error at byte [offset]. *)
+let rejected_at name decode ~codec ~offset bad =
+  match decode bad with
+  | Ok _ -> Alcotest.failf "%s: decoded" name
+  | Error (e : Codec_error.t) ->
+      Alcotest.(check (pair string int)) name (codec, offset)
+        (e.codec, e.offset)
+
 let test_zlib_wrapper_corruption () =
-  let enc = Rfc1951.Zlib.compress (Bytes.of_string "payload payload") in
+  let enc = Deflate.Zlib.compress (Bytes.of_string "payload payload") in
   let bad = Bytes.copy enc in
   let last = Bytes.length bad - 1 in
   Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 1));
-  match Rfc1951.Zlib.decompress bad with
+  (match Deflate.Zlib.decompress bad with
   | _ -> Alcotest.fail "adler mismatch should fail"
-  | exception Failure _ -> ()
+  | exception Failure _ -> ());
+  (* CINFO 8 (a 64 KiB window) is above RFC 1950's limit of 7, even
+     behind a correct FCHECK. *)
+  let wide = Bytes.copy enc in
+  Bytes.set wide 0 '\x88';
+  Bytes.set wide 1 (Char.chr ((31 - (0x88 * 256 mod 31)) mod 31));
+  rejected_at "CINFO 8" Deflate.Zlib.decompress_result ~codec:"zlib" ~offset:0
+    wide
 
 let test_gzip_wrapper () =
   let t = prng () in
   let data = Prng.bytes t 4000 in
-  let enc = Rfc1951.Gzip.compress ~name:"secret.bin" data in
-  Alcotest.check bytes_testable "roundtrip" data (Rfc1951.Gzip.decompress enc);
+  let enc = Deflate.Gzip.compress ~name:"secret.bin" data in
+  Alcotest.check bytes_testable "roundtrip" data (Deflate.Gzip.decompress enc);
   Alcotest.(check (option string)) "fname field" (Some "secret.bin")
-    (Rfc1951.Gzip.original_name enc);
-  let anon = Rfc1951.Gzip.compress data in
+    (Deflate.Gzip.original_name enc);
+  let anon = Deflate.Gzip.compress data in
   Alcotest.(check (option string)) "no fname" None
-    (Rfc1951.Gzip.original_name anon)
+    (Deflate.Gzip.original_name anon)
 
 let test_gzip_wrapper_corruption () =
-  let enc = Rfc1951.Gzip.compress (Bytes.of_string "payload payload") in
+  let enc = Deflate.Gzip.compress (Bytes.of_string "payload payload") in
   let bad = Bytes.copy enc in
   let pos = Bytes.length bad - 6 in
   Bytes.set bad pos (Char.chr (Char.code (Bytes.get bad pos) lxor 1));
-  match Rfc1951.Gzip.decompress bad with
+  (match Deflate.Gzip.decompress bad with
   | _ -> Alcotest.fail "crc/size mismatch should fail"
-  | exception Failure _ -> ()
+  | exception Failure _ -> ());
+  (* RFC 1952 reserves FLG bits 5-7: a member that sets one is an error. *)
+  List.iter
+    (fun bit ->
+      let flagged = Bytes.copy enc in
+      Bytes.set flagged 3 (Char.chr (Char.code (Bytes.get enc 3) lor bit));
+      rejected_at
+        (Printf.sprintf "FLG 0x%02x" bit)
+        Deflate.Gzip.decompress_result ~codec:"gzip" ~offset:3 flagged)
+    [ 0x20; 0x40; 0x80 ]
 
+(* Three-letter strings: long and overlapping matches, and dynamic
+   headers full of repeat codes, which uniform bytes rarely produce. *)
 let qcheck_rfc1951 =
   QCheck.Test.make ~name:"rfc1951 dynamic roundtrip" ~count:120
-    QCheck.(string_of_size QCheck.Gen.(0 -- 3000))
+    QCheck.(string_gen_of_size Gen.(0 -- 3000) (Gen.oneofl [ 'a'; 'b'; 'c' ]))
     (fun s ->
       let b = Bytes.of_string s in
-      Bytes.equal b (Rfc1951.inflate (Rfc1951.deflate b)))
+      Bytes.equal b (Deflate.decompress (Deflate.compress b)))
 
 let qcheck_rfc1951_fixed =
   QCheck.Test.make ~name:"rfc1951 fixed roundtrip" ~count:80
     QCheck.(string_of_size QCheck.Gen.(0 -- 2000))
     (fun s ->
       let b = Bytes.of_string s in
-      Bytes.equal b (Rfc1951.inflate (Rfc1951.deflate ~kind:Rfc1951.Fixed b)))
+      Bytes.equal b (Deflate.decompress (Deflate.compress ~kind:Deflate.Fixed b)))
 
 let qcheck_gzip =
   QCheck.Test.make ~name:"gzip wrapper roundtrip" ~count:60
     QCheck.(string_of_size QCheck.Gen.(0 -- 2000))
     (fun s ->
       let b = Bytes.of_string s in
-      Bytes.equal b (Rfc1951.Gzip.decompress (Rfc1951.Gzip.compress b)))
+      Bytes.equal b (Deflate.Gzip.decompress (Deflate.Gzip.compress b)))
 
+(* Garbage behind a final fixed-Huffman block header (bits 1, 01), so
+   that every case reaches the fixed tables' token loop. *)
 let qcheck_inflate_robust =
   QCheck.Test.make ~name:"inflate never crashes on garbage" ~count:300
-    QCheck.(string_of_size QCheck.Gen.(0 -- 300))
+    QCheck.(string_of_size QCheck.Gen.(1 -- 300))
     (fun s ->
-      match Rfc1951.inflate (Bytes.of_string s) with
+      let b = Bytes.of_string s in
+      Bytes.set b 0 (Char.chr ((Char.code (Bytes.get b 0) land 0xf8) lor 0b011));
+      match Deflate.decompress b with
       | _ -> true
       | exception Failure _ -> true)
+
+(* [decode_tokens] reads back the tokens [compress] coded, in dynamic
+   and fixed blocks, and on any input agrees with [decompress]: the
+   bytes its tokens spell, or the same error. *)
+let qcheck_decode_tokens =
+  QCheck.Test.make ~name:"decode_tokens agrees with compress and decompress"
+    ~count:100
+    QCheck.(
+      pair
+        (string_gen_of_size Gen.(0 -- 2000) (Gen.oneofl [ 'a'; 'b'; 'c' ]))
+        (string_of_size Gen.(1 -- 200)))
+    (fun (s, g) ->
+      let b = Bytes.of_string s in
+      let tokens = Array.to_list (Lz77.tokenize_array b) in
+      let garbage = Bytes.of_string g in
+      Bytes.set garbage 0
+        (Char.chr ((Char.code (Bytes.get garbage 0) land 0xf8) lor 0b101));
+      List.for_all
+        (fun kind -> Deflate.decode_tokens (Deflate.compress ~kind b) = tokens)
+        [ Deflate.Dynamic; Deflate.Fixed ]
+      &&
+      match
+        (Deflate.decode_tokens_result garbage, Deflate.decompress_result garbage)
+      with
+      | Ok t, Ok out -> Bytes.equal (Oracles.detokenize (Array.of_list t)) out
+      | Error e, Error e' -> e = e'
+      | _ -> false)
 
 let suite =
   ( "rfc1951",
@@ -185,4 +242,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_rfc1951_fixed;
       QCheck_alcotest.to_alcotest qcheck_gzip;
       QCheck_alcotest.to_alcotest qcheck_inflate_robust;
+      QCheck_alcotest.to_alcotest qcheck_decode_tokens;
     ] )
