@@ -377,6 +377,19 @@ let check_invariants results =
             :: !failures
       | _ -> ())
     [ "frame/deflate-pipelined-1m-jobs1"; "frame/deflate-pipelined-1m-jobs4" ];
+  (* More domains must make framed compression faster wherever there is
+     a second core: jobs 4 (clamped to the core count) beats jobs 1. *)
+  (if Zipchannel.Parallel.Pool.available_jobs () >= 2 then
+     match (ns "frame/deflate-pipelined-1m-jobs4", ns "frame/deflate-pipelined-1m-jobs1") with
+     | Some jobs4, Some jobs1 when jobs4 >= jobs1 ->
+         failures :=
+           Printf.sprintf
+             "frame/deflate-pipelined-1m-jobs4 (%.0f ns) is not faster than \
+              frame/deflate-pipelined-1m-jobs1 (%.0f ns) on %d cores"
+             jobs4 jobs1
+             (Zipchannel.Parallel.Pool.available_jobs ())
+           :: !failures
+     | _ -> ());
   match !failures with
   | [] -> ()
   | l ->

@@ -89,21 +89,30 @@ let[@inline] put w codes sym =
   let c = codes.(sym) in
   Bitio.Lsb_writer.add_bits w ~value:(c lsr 4) ~count:(c land 15)
 
-let write_tokens w litlen dist tokens =
-  Array.iter
-    (function
-      | Lz77.Literal c -> put w litlen (Char.code c)
-      | Lz77.Match { length; distance } ->
-          let lsym = length_sym length and dsym = distance_sym distance in
-          put w litlen lsym;
-          Bitio.Lsb_writer.add_bits w
-            ~value:(length - length_bases.(lsym - 257))
-            ~count:length_extra.(lsym - 257);
-          put w dist dsym;
-          Bitio.Lsb_writer.add_bits w
-            ~value:(distance - distance_bases.(dsym))
-            ~count:distance_extra.(dsym))
-    tokens;
+(* Tokens are {!Lz77.token}s: a literal is its byte, a match
+   [(length lsl 16) lor distance].  The per-token loops below read that
+   encoding with inline shifts and masks, not through [Lz77]'s
+   accessors, which a build without cross-module inlining (dune's dev
+   profile compiles with -opaque) would call once per token. *)
+
+(* The first [n] of [tokens] and the end-of-block code. *)
+let write_tokens w litlen dist tokens n =
+  for i = 0 to n - 1 do
+    let t = Array.unsafe_get tokens i in
+    if t > 0xff then begin
+      let length = t lsr 16 and distance = t land 0xffff in
+      let lsym = length_sym length and dsym = distance_sym distance in
+      put w litlen lsym;
+      Bitio.Lsb_writer.add_bits w
+        ~value:(length - length_bases.(lsym - 257))
+        ~count:length_extra.(lsym - 257);
+      put w dist dsym;
+      Bitio.Lsb_writer.add_bits w
+        ~value:(distance - distance_bases.(dsym))
+        ~count:distance_extra.(dsym)
+    end
+    else put w litlen t
+  done;
   put w litlen end_of_block
 
 (* Run-length encode the concatenated code-length arrays with the repeat
@@ -210,24 +219,26 @@ let write_stored w input =
     done
   end
 
-let write_dynamic w tokens =
+let write_dynamic w tokens n =
   let litlen_freqs = Array.make litlen_alphabet 0 in
   let dist_freqs = Array.make dist_alphabet 0 in
   let bump a i = a.(i) <- a.(i) + 1 in
-  Array.iter
-    (function
-      | Lz77.Literal c -> bump litlen_freqs (Char.code c)
-      | Lz77.Match { length; distance } ->
-          bump litlen_freqs (length_sym length);
-          bump dist_freqs (distance_sym distance))
-    tokens;
+  for i = 0 to n - 1 do
+    let t = Array.unsafe_get tokens i in
+    if t > 0xff then begin
+      bump litlen_freqs (length_sym (t lsr 16));
+      bump dist_freqs (distance_sym (t land 0xffff))
+    end
+    else bump litlen_freqs t
+  done;
   bump litlen_freqs end_of_block;
   let litlen_lengths = Huffman.lengths_of_freqs litlen_freqs in
   let dist_lengths = Huffman.lengths_of_freqs dist_freqs in
   Bitio.Lsb_writer.add_bits w ~value:1 ~count:1;
   Bitio.Lsb_writer.add_bits w ~value:2 ~count:2;
   write_dynamic_header w litlen_lengths dist_lengths;
-  write_tokens w (Huffman.lsb_codes litlen_lengths) (Huffman.lsb_codes dist_lengths) tokens
+  write_tokens w (Huffman.lsb_codes litlen_lengths) (Huffman.lsb_codes dist_lengths)
+    tokens n
 
 let fixed_litlen_codes = Huffman.lsb_codes fixed_litlen_lengths
 
@@ -245,12 +256,17 @@ let compress ?(kind = Dynamic) ?strategy ?max_chain input =
   let w = Bitio.Lsb_writer.create () in
   (match kind with
   | Stored -> write_stored w input
-  | Fixed ->
-      Bitio.Lsb_writer.add_bits w ~value:1 ~count:1;
-      Bitio.Lsb_writer.add_bits w ~value:1 ~count:2;
-      write_tokens w fixed_litlen_codes fixed_dist_codes
-        (Lz77.tokenize_array ?strategy ?max_chain input)
-  | Dynamic -> write_dynamic w (Lz77.tokenize_array ?strategy ?max_chain input));
+  | Fixed | Dynamic ->
+      (* The tokens stay in the domain's arena: a steady-state run
+         allocates little beyond its output. *)
+      Zipchannel_buf.Arena.with_arena @@ fun arena ->
+      let tokens, n = Lz77.tokenize_in arena ?strategy ?max_chain input in
+      if kind = Fixed then begin
+        Bitio.Lsb_writer.add_bits w ~value:1 ~count:1;
+        Bitio.Lsb_writer.add_bits w ~value:1 ~count:2;
+        write_tokens w fixed_litlen_codes fixed_dist_codes tokens n
+      end
+      else write_dynamic w tokens n);
   let out = Bitio.Lsb_writer.to_bytes w in
   Obs.Metrics.add m_bytes_in (Bytes.length input);
   Obs.Metrics.add m_bytes_out (Bytes.length out);
@@ -307,10 +323,8 @@ let read_dynamic_tables r =
       Some (Huffman.lsb_decoder_of_lengths dist)
     else None )
 
-(* The next token of a compressed block, unboxed: a literal byte, [-1]
-   at the end of the block, or a match as [(length lsl 16) lor
-   distance], which is at least [3 lsl 16] (distances stay below
-   [2^16]). *)
+(* The next token of a compressed block as an {!Lz77.token} (a literal
+   byte or a packed match), or [-1] at the end of the block. *)
 let[@inline] read_token r litlen dist =
   let sym = Huffman.read_symbol_lsb r litlen in
   if sym < 256 then sym
@@ -373,23 +387,19 @@ let decode_tokens_result data =
   read_blocks r
     ~stored:(fun at len ->
       for k = at to at + len - 1 do
-        push (Lz77.Literal (Bytes.get data k))
+        push (Char.code (Bytes.get data k))
       done;
       produced := !produced + len)
     ~huffman:(fun litlen dist ->
       let t = ref (read_token r litlen dist) in
       while !t >= 0 do
         let tok = !t in
-        if tok < 256 then begin
-          push (Lz77.Literal (Char.unsafe_chr tok));
-          incr produced
+        if tok > 0xff then begin
+          if tok land 0xffff > !produced then too_far ();
+          produced := !produced + (tok lsr 16)
         end
-        else begin
-          let distance = tok land 0xffff and length = tok lsr 16 in
-          if distance > !produced then too_far ();
-          push (Lz77.Match { length; distance });
-          produced := !produced + length
-        end;
+        else incr produced;
+        push tok;
         t := read_token r litlen dist
       done);
   List.rev !tokens
@@ -426,15 +436,15 @@ let inflate_block r out litlen dist =
   let t = ref (read_token r litlen dist) in
   while !t >= 0 do
     let tok = !t in
-    if tok < 256 then begin
-      if out.len = Bytes.length out.buf then reserve out 1;
-      Bytes.unsafe_set out.buf out.len (Char.unsafe_chr tok);
-      out.len <- out.len + 1
-    end
-    else begin
+    if tok > 0xff then begin
       let distance = tok land 0xffff in
       if distance > out.len then too_far ();
       add_match out ~distance ~length:(tok lsr 16)
+    end
+    else begin
+      if out.len = Bytes.length out.buf then reserve out 1;
+      Bytes.unsafe_set out.buf out.len (Char.unsafe_chr tok);
+      out.len <- out.len + 1
     end;
     t := read_token r litlen dist
   done

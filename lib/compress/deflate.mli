@@ -45,8 +45,9 @@ val decompress : bytes -> bytes
     @raise Failure on malformed input. *)
 
 val decode_tokens_result : bytes -> (Lz77.token list, Codec_error.t) result
-(** The tokens a raw DEFLATE stream spells, a stored block's bytes as
-    literals.  Errors are {!decompress_result}'s. *)
+(** The tokens a raw DEFLATE stream spells, in {!Lz77.token}'s
+    encoding, a stored block's bytes as literals.  Errors are
+    {!decompress_result}'s. *)
 
 val decode_tokens : bytes -> Lz77.token list
 (** [Codec_error.unwrap] of {!decode_tokens_result}.

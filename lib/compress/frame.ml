@@ -161,29 +161,15 @@ let prefix buf len = if Bytes.length buf = len then buf else Bytes.sub buf 0 len
 (* ------------------------------------------------------------------ *)
 (* Pipelined streaming over read/write callbacks *)
 
-(* Worker domains beyond the machine's cores only add scheduling and
-   stop-the-world GC rendezvous (measured 3-4x slower on one core), so
-   the streaming entry points clamp: asking for [~jobs:8] on a 4-core
-   box runs 4 workers, and on one core runs the sequential path.  The
-   output is identical either way — that is the pipeline's ordering
-   guarantee — so the clamp is purely a performance decision. *)
-let clamp_jobs jobs =
-  max 1 (min jobs (Zipchannel_parallel.Pool.available_jobs ()))
-
-(* One staging buffer per frame the pipeline can hold in flight. *)
-let ring_slots ~jobs capacity =
-  if jobs <= 1 then 1
-  else max (Option.value capacity ~default:(2 * jobs)) (jobs + 1)
-
 let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
     ~codec ~read ~write () =
   if frame_size < 1 || frame_size > max_frame_size then
     invalid_arg "Frame.compress_stream: frame_size out of range";
-  let jobs = clamp_jobs jobs in
   let hdr = Bytes.create header_len in
   render_header ~codec hdr;
   write hdr ~off:0 ~len:header_len;
-  let slots = ring_slots ~jobs capacity in
+  (* One staging buffer per frame the pipeline can hold in flight. *)
+  let slots = Pipeline.capacity ~jobs ?capacity () in
   let chunks = Array.init slots (fun _ -> ref Bytes.empty) in
   let crc = ref Checksum.Crc32.init in
   let total = ref 0 in
@@ -251,7 +237,6 @@ let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
   write tr ~off:0 ~len:trailer_len
 
 let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
-  let jobs = clamp_jobs jobs in
   let fail ~offset reason = Codec_error.fail ~codec:"frame" ~offset reason in
   let consumed = ref 0 in
   (* Stage exactly the [len] bytes of the next wire unit; a short read
@@ -274,7 +259,7 @@ let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
     if Bytes.get hdr 5 <> '\000' || Bytes.get hdr 6 <> '\000'
        || Bytes.get hdr 7 <> '\000'
     then fail ~offset:!consumed "nonzero reserved header bytes";
-    let slots = ring_slots ~jobs capacity in
+    let slots = Pipeline.capacity ~jobs ?capacity () in
     let chunks = Array.init slots (fun _ -> ref Bytes.empty) in
     let crc = ref Checksum.Crc32.init in
     let total = ref 0 in

@@ -1,5 +1,6 @@
 module Obs = Zipchannel_obs.Obs
 module Bigstring = Zipchannel_buf.Bigstring
+module Arena = Zipchannel_buf.Arena
 
 let m_literals = Obs.Metrics.counter "kernel.lz77.literals"
 let m_matches = Obs.Metrics.counter "kernel.lz77.matches"
@@ -15,14 +16,23 @@ let update_hash h c = ((h lsl 5) lxor c) land hash_mask
 
 let hash_of_triple c0 c1 c2 = update_hash (update_hash (update_hash 0 c0) c1) c2
 
-type token = Literal of char | Match of { length : int; distance : int }
+(* A token is an unboxed int: a literal is its byte, a match
+   [(length lsl 16) lor distance] — a distance of at most 32768 fits
+   in 16 bits, and a length of at least 3 puts every match above 255.
+   [Deflate]'s inflate parses a block into the same encoding. *)
+type token = int
+
+let[@inline] match_token ~length ~distance = (length lsl 16) lor distance
+let[@inline] is_match t = t > 0xff
+let[@inline] match_length t = t lsr 16
+let[@inline] match_distance t = t land 0xffff
 
 type strategy = Greedy | Lazy
 
-let pp_token ppf = function
-  | Literal c -> Format.fprintf ppf "lit %C" c
-  | Match { length; distance } ->
-      Format.fprintf ppf "match len=%d dist=%d" length distance
+let pp_token ppf t =
+  if is_match t then
+    Format.fprintf ppf "match len=%d dist=%d" (match_length t) (match_distance t)
+  else Format.fprintf ppf "lit %C" (Char.chr t)
 
 let hash_head_trace input =
   let n = Bytes.length input in
@@ -37,147 +47,32 @@ let hash_head_trace input =
         !h)
   end
 
-(* Growable token accumulator shared by both tokenizers: the output
-   token sequence is a list, but the hot loop must not cons per token. *)
-type emitter = { mutable buf : token array; mutable n : int }
+(* The arena slots of one tokenizer run (DESIGN §12): the hash heads,
+   zlib's 32 KiB [prev] ring, the token buffer, and the input staged
+   off-heap for the word-sized probes. *)
+let slot_head = 9
+let slot_prev = 10
+let slot_tokens = 11
+let big_slot_input = 1
 
-let emitter () = { buf = Array.make 512 (Literal '\000'); n = 0 }
+let window_mask = window_size - 1
 
-let emit e tok =
-  let cap = Array.length e.buf in
-  if e.n = cap then begin
-    let bigger = Array.make (2 * cap) (Literal '\000') in
-    Array.blit e.buf 0 bigger 0 cap;
-    e.buf <- bigger
-  end;
-  Array.unsafe_set e.buf e.n tok;
-  e.n <- e.n + 1
-
-(* Telemetry over the finished token array: a single extra pass, run
-   only when metrics are on, so the disabled path is untouched. *)
-let telemetry e =
+(* Telemetry over the finished tokens: a single extra pass, run only
+   when metrics are on, so the disabled path is untouched. *)
+let telemetry tokens n =
   if Obs.enabled () then begin
     let lits = ref 0 and matches = ref 0 in
-    for i = 0 to e.n - 1 do
-      match e.buf.(i) with
-      | Literal _ -> incr lits
-      | Match { length; _ } ->
-          incr matches;
-          Obs.Metrics.observe h_match_len length
+    for i = 0 to n - 1 do
+      let t = tokens.(i) in
+      if is_match t then begin
+        incr matches;
+        Obs.Metrics.observe h_match_len (match_length t)
+      end
+      else incr lits
     done;
     Obs.Metrics.add m_literals !lits;
     Obs.Metrics.add m_matches !matches
   end
-
-let finish e =
-  telemetry e;
-  let buf = e.buf in
-  let rec build i acc = if i < 0 then acc else build (i - 1) (buf.(i) :: acc) in
-  build (e.n - 1) []
-
-(* The retained byte-at-a-time reference tokenizer.  [tokenize_array] below
-   must produce the identical token sequence for every input; the
-   differential suite checks exactly that. *)
-let tokenize_ref ?(strategy = Greedy) ?(max_chain = 128) input =
-  let n = Bytes.length input in
-  let byte i = Char.code (Bytes.unsafe_get input i) in
-  let head = Array.make (hash_mask + 1) (-1) in
-  let prev = Array.make (max 1 n) (-1) in
-  let insert pos =
-    if pos + min_match <= n then begin
-      let h = hash_of_triple (byte pos) (byte (pos + 1)) (byte (pos + 2)) in
-      Array.unsafe_set prev pos (Array.unsafe_get head h);
-      Array.unsafe_set head h pos
-    end
-  in
-  let match_length pos cand =
-    let limit = min max_match (n - pos) in
-    let len = ref 0 in
-    while
-      !len < limit
-      && Char.code (Bytes.unsafe_get input (cand + !len))
-         = Char.code (Bytes.unsafe_get input (pos + !len))
-    do
-      incr len
-    done;
-    !len
-  in
-  let best_match pos =
-    if pos + min_match > n then None
-    else begin
-      let h = hash_of_triple (byte pos) (byte (pos + 1)) (byte (pos + 2)) in
-      let best_len = ref 0 and best_pos = ref (-1) in
-      let cand = ref (Array.unsafe_get head h) and chain = ref max_chain in
-      while !cand >= 0 && !chain > 0 do
-        if pos - !cand <= window_size then begin
-          let len = match_length pos !cand in
-          if len > !best_len then begin
-            best_len := len;
-            best_pos := !cand
-          end;
-          cand := Array.unsafe_get prev !cand;
-          decr chain
-        end
-        else cand := -1
-      done;
-      if !best_len >= min_match then
-        Some (!best_len, pos - !best_pos)
-      else None
-    end
-  in
-  let e = emitter () in
-  (match strategy with
-  | Greedy ->
-      let pos = ref 0 in
-      while !pos < n do
-        match best_match !pos with
-        | Some (length, distance) ->
-            emit e (Match { length; distance });
-            for p = !pos to !pos + length - 1 do insert p done;
-            pos := !pos + length
-        | None ->
-            emit e (Literal (Bytes.get input !pos));
-            insert !pos;
-            incr pos
-      done
-  | Lazy ->
-      (* zlib's deflate_slow: hold a match found at pos-1 and abandon it
-         for a single literal when pos matches strictly longer. *)
-      let pos = ref 0 in
-      let pending = ref None (* best match at !pos - 1 *) in
-      while !pos < n do
-        let m = best_match !pos in
-        insert !pos;
-        (match !pending with
-        | None -> (
-            match m with
-            | Some _ ->
-                pending := m;
-                incr pos
-            | None ->
-                emit e (Literal (Bytes.get input !pos));
-                incr pos)
-        | Some (plen, pdist) ->
-            let better =
-              match m with Some (len, _) -> len > plen | None -> false
-            in
-            if better then begin
-              emit e (Literal (Bytes.get input (!pos - 1)));
-              pending := m;
-              incr pos
-            end
-            else begin
-              emit e (Match { length = plen; distance = pdist });
-              let next = !pos - 1 + plen in
-              for p = !pos + 1 to next - 1 do insert p done;
-              pos := next;
-              pending := None
-            end)
-      done;
-      (match !pending with
-      | Some (plen, pdist) -> emit e (Match { length = plen; distance = pdist })
-      | None -> ()));
-  finish e
 
 (* Word-at-a-time tokenizer.  The input is staged once into an off-heap
    bigstring; match extension is then a memcmp-style 64-bit
@@ -185,16 +80,35 @@ let tokenize_ref ?(strategy = Greedy) ?(max_chain = 128) input =
    ending at offset [best_len] (zlib's end-byte check: beating the
    current best requires those bytes to match, so skipping the scan when
    they differ cannot change which candidate wins).  Token output is
-   identical to [tokenize_ref] — same hash chains, same tie-breaks. *)
-let tokenize_emitter ?(strategy = Greedy) ?(max_chain = 128) input =
+   identical to the byte-at-a-time reference in test/oracles.ml — same
+   hash chains, same tie-breaks.
+
+   [prev] is zlib's ring: position [p]'s chain link lives at
+   [p land window_mask].  When [best_match pos] runs, only positions
+   below [pos] have been inserted, so a slot the walk reads for a
+   candidate [c] with [pos - c <= window_size] still holds [c]'s link
+   ([c + window_size], which would overwrite it, is at least [pos]);
+   the walk never reads past the window, so the chains are those of a
+   [prev] indexed by absolute position.  Every slot it reads was
+   written in this run, so only [head] is reset. *)
+let tokenize_in arena ?(strategy = Greedy) ?(max_chain = 128) input =
   let n = Bytes.length input in
-  let big = Bigstring.of_bytes input in
+  let big = Arena.big arena ~slot:big_slot_input n in
+  Bigstring.blit_of_bytes input ~src_off:0 big ~dst_off:0 ~len:n;
   (* Plain [Bytes] loads for the hash/insert path: cheaper than going
      through the bigstring's custom block, and the values are the same
      bytes either way.  [big] serves the word-at-a-time probes. *)
   let byte i = Char.code (Bytes.unsafe_get input i) in
-  let head = Array.make (hash_mask + 1) (-1) in
-  let prev = Array.make (max 1 n) (-1) in
+  let head = Arena.ints arena ~slot:slot_head (hash_mask + 1) in
+  Array.fill head 0 (hash_mask + 1) (-1);
+  let prev = Arena.ints arena ~slot:slot_prev window_size in
+  (* Every token covers at least one input byte. *)
+  let tokens = Arena.ints arena ~slot:slot_tokens n in
+  let count = ref 0 in
+  let emit t =
+    Array.unsafe_set tokens !count t;
+    incr count
+  in
   (* Both strategies insert every position exactly once in strictly
      increasing order, so the triple hash rolls: seeded with the first
      two bytes, each insert folds in the byte two ahead (the same
@@ -209,12 +123,12 @@ let tokenize_emitter ?(strategy = Greedy) ?(max_chain = 128) input =
     if pos + min_match <= n then begin
       let h = update_hash !ins_h (byte (pos + 2)) in
       ins_h := h;
-      Array.unsafe_set prev pos (Array.unsafe_get head h);
+      Array.unsafe_set prev (pos land window_mask) (Array.unsafe_get head h);
       Array.unsafe_set head h pos
     end
   in
-  (* Packed as [len lsl 16 lor dist] (len <= 258, dist <= 32768 fits in
-     16 bits), -1 for no match: the chain walk allocates nothing. *)
+  (* The best match at [pos] as a token, -1 for none: the chain walk
+     allocates nothing. *)
   let best_match pos =
     if pos + min_match > n then -1
     else begin
@@ -249,57 +163,53 @@ let tokenize_emitter ?(strategy = Greedy) ?(max_chain = 128) input =
               if len < limit then want16 := Bigstring.get16u big (pos + len - 1)
             end
           end;
-          cand := Array.unsafe_get prev !cand;
+          cand := Array.unsafe_get prev (!cand land window_mask);
           decr chain
         end
         else cand := -1
       done;
-      if !best_len >= min_match then (!best_len lsl 16) lor (pos - !best_pos)
+      if !best_len >= min_match then
+        match_token ~length:!best_len ~distance:(pos - !best_pos)
       else -1
     end
   in
-  let e = emitter () in
   (match strategy with
   | Greedy ->
       let pos = ref 0 in
       while !pos < n do
         let m = best_match !pos in
         if m >= 0 then begin
-          let length = m lsr 16 and distance = m land 0xffff in
-          emit e (Match { length; distance });
-          for p = !pos to !pos + length - 1 do insert p done;
-          pos := !pos + length
+          emit m;
+          for p = !pos to !pos + match_length m - 1 do insert p done;
+          pos := !pos + match_length m
         end
         else begin
-          emit e (Literal (Bytes.get input !pos));
+          emit (byte !pos);
           insert !pos;
           incr pos
         end
       done
   | Lazy ->
+      (* zlib's deflate_slow: hold a match found at pos-1 and abandon it
+         for a single literal when pos matches strictly longer. *)
       let pos = ref 0 in
-      let pending = ref (-1) (* packed best match at !pos - 1 *) in
+      let pending = ref (-1) (* best match at !pos - 1 *) in
       while !pos < n do
         let m = best_match !pos in
         insert !pos;
-        if !pending < 0 then
-          if m >= 0 then begin
-            pending := m;
-            incr pos
-          end
-          else begin
-            emit e (Literal (Bytes.get input !pos));
-            incr pos
-          end
+        if !pending < 0 then begin
+          if m >= 0 then pending := m else emit (byte !pos);
+          incr pos
+        end
         else begin
-          let plen = !pending lsr 16 and pdist = !pending land 0xffff in
-          if m >= 0 && m lsr 16 > plen then begin
-            emit e (Literal (Bytes.get input (!pos - 1)));
+          let plen = match_length !pending in
+          if m >= 0 && match_length m > plen then begin
+            emit (byte (!pos - 1));
             pending := m;
             incr pos
           end
           else begin
-            emit e (Match { length = plen; distance = pdist });
+            emit !pending;
             let next = !pos - 1 + plen in
             for p = !pos + 1 to next - 1 do insert p done;
             pos := next;
@@ -307,12 +217,11 @@ let tokenize_emitter ?(strategy = Greedy) ?(max_chain = 128) input =
           end
         end
       done;
-      if !pending >= 0 then
-        emit e
-          (Match { length = !pending lsr 16; distance = !pending land 0xffff }));
-  telemetry e;
-  e
+      if !pending >= 0 then emit !pending);
+  telemetry tokens !count;
+  (tokens, !count)
 
 let tokenize_array ?strategy ?max_chain input =
-  let e = tokenize_emitter ?strategy ?max_chain input in
-  Array.sub e.buf 0 e.n
+  Arena.with_arena (fun arena ->
+      let tokens, n = tokenize_in arena ?strategy ?max_chain input in
+      Array.sub tokens 0 n)

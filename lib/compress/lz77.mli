@@ -29,25 +29,38 @@ val hash_of_triple : int -> int -> int -> int
 (** Hash of three consecutive bytes, oldest first: the value of [ins_h]
     when the triple's first byte is inserted. *)
 
-type token = Literal of char | Match of { length : int; distance : int }
+type token = int
+(** An unboxed token: a literal is its byte value (0..255); a match of
+    [length] 3..258 at [distance] 1..32768 is
+    [(length lsl 16) lor distance], so every match is above 255.
+    {!Deflate.decode_tokens} reads a stream back into the same
+    encoding. *)
+
+val match_token : length:int -> distance:int -> token
+val is_match : token -> bool
+val match_length : token -> int
+val match_distance : token -> int
 
 type strategy = Greedy | Lazy
 
 val pp_token : Format.formatter -> token -> unit
 
-val tokenize_array : ?strategy:strategy -> ?max_chain:int -> bytes -> token array
-(** [max_chain] bounds the hash-chain walk (default 128).  [Greedy]
-    (default) takes every match immediately; [Lazy] is zlib's
-    deflate_slow evaluation — the paper's Fig. 2 gadget location — which
-    defers a match by one position when the next position matches
-    longer.  Match extension runs word-at-a-time over an off-heap
-    staging of the input; the token sequence is identical to
-    {!tokenize_ref} on every input. *)
+val tokenize_in :
+  Zipchannel_buf.Arena.t -> ?strategy:strategy -> ?max_chain:int -> bytes ->
+  token array * int
+(** [tokenize_in arena input] is [(buf, count)]: the tokens are the
+    first [count] entries of [buf], an [arena] slot that the arena's
+    next user overwrites.  The hash heads, the 32 KiB chain ring and
+    the off-heap copy of the input come from [arena] too, so a
+    steady-state run allocates nothing.  [max_chain] bounds the
+    hash-chain walk (default 128).  [Greedy] (default) takes every
+    match immediately; [Lazy] is zlib's deflate_slow evaluation — the
+    paper's Fig. 2 gadget location — which defers a match by one
+    position when the next position matches longer. *)
 
-val tokenize_ref : ?strategy:strategy -> ?max_chain:int -> bytes -> token list
-(** The retained byte-at-a-time reference tokenizer — the executable
-    specification {!tokenize_array} is differential-tested against.
-    Same arguments, same tokens, no word-level fast paths. *)
+val tokenize_array : ?strategy:strategy -> ?max_chain:int -> bytes -> token array
+(** {!tokenize_in} on a per-domain arena, copied out: exactly the
+    tokens. *)
 
 val hash_head_trace : bytes -> int array
 (** The successive values of [ins_h] at each INSERT_STRING call — index

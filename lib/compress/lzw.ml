@@ -166,6 +166,9 @@ let compress_with_probes input =
    to a quarter of the small-input rate.  The probe *count* is kept in a
    plain int so [kernel.lzw.htab_probes] reports exactly the same value
    as the recording path — one tick per table slot inspected. *)
+let slot_htab = 12
+let slot_codetab = 13
+
 let compress input =
   Obs.with_span "lzw.compress"
     ~attrs:[ ("bytes", string_of_int (Bytes.length input)) ]
@@ -176,8 +179,13 @@ let compress input =
   Bitio.Writer.add_bits_lsb w ~value:(n lsr 16) ~count:16;
   let probe_count = ref 0 in
   if n > 0 then begin
-    let htab = Array.make htab_size (-1) in
-    let codetab = Array.make htab_size 0 in
+    (* Both tables are the domain's arena slots, so a frame of any size
+       costs no 2 MiB of tables.  Only [htab] is reset: [codetab] is
+       read only behind an [htab] hit, which a run writes itself. *)
+    Zipchannel_buf.Arena.with_arena @@ fun arena ->
+    let htab = Zipchannel_buf.Arena.ints arena ~slot:slot_htab htab_size in
+    Array.fill htab 0 htab_size (-1);
+    let codetab = Zipchannel_buf.Arena.ints arena ~slot:slot_codetab htab_size in
     let free_ent = ref first_code in
     let n_bits = ref min_bits in
     let ent = ref (Char.code (Bytes.get input 0)) in

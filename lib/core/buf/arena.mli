@@ -10,7 +10,12 @@
     may hold several slots of the same arena simultaneously but two
     concurrent pipelines must use two arenas.  {!with_arena} enforces
     this per domain, so code running under the [lib/parallel] pool gets
-    one arena per worker and reuses it across the blocks it claims. *)
+    one arena per worker and reuses it across the blocks it claims.
+
+    Retention is bounded by a constant, not by the largest input seen:
+    a slot never keeps a buffer above 2 MiB (256K ints) — a larger
+    request gets a fresh buffer that the arena does not keep — and a
+    domain's free list keeps at most 4 arenas. *)
 
 type t
 
@@ -23,6 +28,9 @@ val bytes : t -> slot:int -> int -> bytes
 val ints : t -> slot:int -> int -> int array
 
 val big : t -> slot:int -> int -> Bigstring.t
+
+val footprint : t -> int
+(** Bytes held by [t]'s slots. *)
 
 val with_arena : (t -> 'a) -> 'a
 (** Run [f] with a per-domain arena taken from a domain-local free

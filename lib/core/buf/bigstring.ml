@@ -96,15 +96,6 @@ let to_bytes (t : t) ~off ~len =
   blit_to_bytes t ~src_off:off b ~dst_off:0 ~len;
   b
 
-(* Index (within the low 8 bytes) of the least significant non-zero byte
-   of [x] — on little-endian, the first differing byte in memory order. *)
-let first_nonzero_byte x =
-  let rec go i x =
-    if Int64.logand x 0xFFL <> 0L then i
-    else go (i + 1) (Int64.shift_right_logical x 8)
-  in
-  go 0 x
-
 let common_prefix (t : t) i j ~limit =
   if limit < 0 || i < 0 || j < 0 || i + limit > length t || j + limit > length t
   then invalid_arg "Bigstring.common_prefix";
@@ -119,7 +110,12 @@ let common_prefix (t : t) i j ~limit =
       incr w
     end
     else begin
-      len := !len + first_nonzero_byte x;
+      (* The words differ, so a byte scan from the word's start stops
+         inside it; [x] itself is never looked at byte by byte, which
+         would box it. *)
+      while unsafe_get t (i + !len) = unsafe_get t (j + !len) do
+        incr len
+      done;
       stop := true
     end
   done;

@@ -1,182 +1,26 @@
-(* A pipelined parallel stage: one producer, [jobs] workers, one
-   order-preserving consumer.
-
-   The caller's domain runs [produce] and [consume]; [work] runs on
-   worker domains.  Items flow through a bounded ring of [capacity]
-   slots, which is also the backpressure mechanism: the producer stops
-   filling when [capacity] items are in flight and resumes only after
-   the consumer has drained one, so memory stays bounded no matter how
-   fast the input side is.  Results are handed to [consume] strictly in
-   production order, which is what makes every pipelined caller
-   byte-identical to its [jobs = 1] run.
-
-   The caller's loop alternates two phases: top up the window (enqueue
-   until the ring is full or the producer reports end-of-stream), then
-   block until the *next in-order* result is done and consume it.  With
-   [capacity >= jobs + 1] the workers always have claimable tasks while
-   the caller is blocked, so the pipeline only stalls when the work
-   itself is the bottleneck.
-
-   A slot [seq mod capacity] is reused by sequence [seq + capacity]
-   only after [seq] has been consumed (the window invariant
-   [seq_in - seq_out < capacity] guarantees it), so task payloads that
-   point into caller-owned reusable buffers — the frame pipeline's
-   chunk ring — are never overwritten while a worker still reads
-   them. *)
+(* {!Pool.run} with the pipeline's metrics (see pipeline.mli). *)
 
 module Obs = Zipchannel_obs.Obs
 
 let m_items = Obs.Metrics.counter "pipeline.items"
 let m_depth = Obs.Metrics.histogram "pipeline.queue_depth"
 
-type ('a, 'b) state = {
-  m : Mutex.t;
-  task_ready : Condition.t;  (* workers: a task or shutdown is available *)
-  result_ready : Condition.t;  (* caller: some result slot completed *)
-  tasks : 'a option array;
-  results : 'b option array;
-  result_done : bool array;
-  capacity : int;
-  mutable seq_in : int;  (* next sequence to enqueue *)
-  mutable seq_claim : int;  (* next sequence a worker claims *)
-  mutable seq_out : int;  (* next sequence to consume *)
-  mutable closed : bool;  (* no further enqueues will happen *)
-  mutable failed : exn option;  (* first failure, any stage *)
-}
-
-exception Aborted
-(* Internal: the caller's wait loop saw [failed] set by a worker; the
-   real exception is re-raised after the domains join. *)
-
-let worker st work =
-  let running = ref true in
-  while !running do
-    Mutex.lock st.m;
-    while
-      st.seq_claim = st.seq_in && (not st.closed) && st.failed = None
-    do
-      Condition.wait st.task_ready st.m
-    done;
-    if st.failed <> None || (st.closed && st.seq_claim = st.seq_in) then begin
-      Mutex.unlock st.m;
-      running := false
-    end
-    else begin
-      let seq = st.seq_claim in
-      st.seq_claim <- seq + 1;
-      let slot = seq mod st.capacity in
-      let x = Option.get st.tasks.(slot) in
-      st.tasks.(slot) <- None;
-      Mutex.unlock st.m;
-      match work x with
-      | y ->
-          Mutex.lock st.m;
-          st.results.(slot) <- Some y;
-          st.result_done.(slot) <- true;
-          Condition.broadcast st.result_ready;
-          Mutex.unlock st.m
-      | exception e ->
-          Mutex.lock st.m;
-          if st.failed = None then st.failed <- Some e;
-          Condition.broadcast st.result_ready;
-          Condition.broadcast st.task_ready;
-          Mutex.unlock st.m;
-          running := false
-    end
-  done
-
-let run_sequential ~produce ~work ~consume =
-  let seq = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match produce ~seq:!seq with
-    | None -> continue_ := false
-    | Some x ->
-        Obs.Metrics.incr m_items;
-        Obs.Metrics.observe m_depth 1;
-        consume ~seq:!seq (work x);
-        incr seq
-  done
+let capacity = Pool.capacity
 
 let run ~jobs ?capacity ~produce ~work ~consume () =
-  if jobs <= 1 then run_sequential ~produce ~work ~consume
-  else begin
-    let capacity =
-      match capacity with
-      | None -> 2 * jobs
-      | Some c -> max c (jobs + 1)
-    in
-    let st =
-      {
-        m = Mutex.create ();
-        task_ready = Condition.create ();
-        result_ready = Condition.create ();
-        tasks = Array.make capacity None;
-        results = Array.make capacity None;
-        result_done = Array.make capacity false;
-        capacity;
-        seq_in = 0;
-        seq_claim = 0;
-        seq_out = 0;
-        closed = false;
-        failed = None;
-      }
-    in
-    let domains = Array.init jobs (fun _ -> Domain.spawn (fun () -> worker st work)) in
-    let drive () =
-      let eof = ref false in
-      while not (!eof && st.seq_out = st.seq_in) do
-        (* Top up the in-flight window. *)
-        while (not !eof) && st.seq_in - st.seq_out < capacity do
-          match produce ~seq:st.seq_in with
-          | None ->
-              eof := true;
-              Mutex.lock st.m;
-              st.closed <- true;
-              Condition.broadcast st.task_ready;
-              Mutex.unlock st.m
-          | Some x ->
-              Obs.Metrics.incr m_items;
-              Mutex.lock st.m;
-              st.tasks.(st.seq_in mod capacity) <- Some x;
-              st.seq_in <- st.seq_in + 1;
-              Obs.Metrics.observe m_depth (st.seq_in - st.seq_out);
-              Condition.signal st.task_ready;
-              Mutex.unlock st.m
-        done;
-        (* Wait for, then consume, the next in-order result. *)
-        if st.seq_out < st.seq_in then begin
-          let slot = st.seq_out mod capacity in
-          Mutex.lock st.m;
-          while (not st.result_done.(slot)) && st.failed = None do
-            Condition.wait st.result_ready st.m
-          done;
-          if st.failed <> None then begin
-            Mutex.unlock st.m;
-            raise Aborted
-          end;
-          let y = Option.get st.results.(slot) in
-          st.results.(slot) <- None;
-          st.result_done.(slot) <- false;
-          st.seq_out <- st.seq_out + 1;
-          Mutex.unlock st.m;
-          consume ~seq:(st.seq_out - 1) y
-        end
-      done
-    in
-    let caller_exn = match drive () with () -> None | exception e -> Some e in
-    (* Shut the workers down (also on the success path, where [closed]
-       is already set) and join before deciding what to raise. *)
-    Mutex.lock st.m;
-    st.closed <- true;
-    if caller_exn <> None && st.failed = None then
-      (* Poison outstanding tasks: workers drain without running them. *)
-      st.failed <- caller_exn;
-    Condition.broadcast st.task_ready;
-    Mutex.unlock st.m;
-    Array.iter Domain.join domains;
-    match caller_exn with
-    | Some Aborted | None -> (
-        match st.failed with Some e -> raise e | None -> ())
-    | Some e -> raise e
-  end
+  (* [produce] and [consume] both run in the calling domain, so the
+     in-flight count at an enqueue is [seq + 1] minus the results
+     consumed so far. *)
+  let consumed = ref 0 in
+  let produce ~seq =
+    let x = produce ~seq in
+    if Option.is_some x then begin
+      Obs.Metrics.incr m_items;
+      Obs.Metrics.observe m_depth (seq + 1 - !consumed)
+    end;
+    x
+  and consume ~seq y =
+    incr consumed;
+    consume ~seq y
+  in
+  Pool.run ~jobs ?capacity ~produce ~work ~consume ()

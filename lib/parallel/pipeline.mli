@@ -1,33 +1,20 @@
-(** A pipelined parallel stage with bounded, order-preserving queues.
+(** The frame codec's pipelined stage: {!Pool.run} plus two Obs
+    metrics.
 
-    [run ~jobs ~produce ~work ~consume ()] drives a three-stage
-    pipeline: the calling domain alternates between pulling items from
-    [produce] and handing finished results to [consume], while [jobs]
-    worker domains apply [work] to items in flight.  At most [capacity]
-    items are in flight at once (backpressure: production stops until
-    the consumer drains), and [consume] sees results strictly in
-    production order — so for pure [work] the observable output is
-    byte-identical to the [jobs = 1] run, where everything happens
-    sequentially in the calling domain with no spawning.
-
-    [produce ~seq] is called with consecutive sequence numbers starting
-    at 0 and returns [None] at end of stream (after which it is never
-    called again).  The sequence number lets a producer address a ring
-    of [capacity] reusable buffers: slot [seq mod capacity] is
-    guaranteed free, because the window invariant keeps sequence
-    [seq - capacity] consumed before [seq] is produced.
-
-    [work] must be safe to run concurrently with itself, [produce] and
-    [consume]; [produce] and [consume] only ever run in the calling
-    domain and may share state with each other freely.
-
-    If any stage raises, the pipeline drains (no further [work] or
-    [consume] calls on other items), all domains are joined, and the
-    first failure is re-raised in the caller.
+    [run] has {!Pool.run}'s contract — bounded in-flight window,
+    results consumed strictly in production order, the caller working
+    alongside the pool's workers, failures drained and re-raised — so
+    for pure [work] the output is byte-identical at any [jobs], and a
+    pipeline nested in a {!Pool.map_array} item (or the reverse), or
+    several pipelines from concurrent systhreads, cannot deadlock.
 
     Obs metrics: [pipeline.items] counts items entering the pipeline
     and [pipeline.queue_depth] is a histogram of the in-flight count
-    observed at each enqueue. *)
+    observed at each enqueue.  {!Pool.map_array} and {!Pool.map_list}
+    record neither. *)
+
+val capacity : jobs:int -> ?capacity:int -> unit -> int
+(** {!Pool.capacity}. *)
 
 val run :
   jobs:int ->
@@ -37,5 +24,4 @@ val run :
   consume:(seq:int -> 'b -> unit) ->
   unit ->
   unit
-(** [capacity] defaults to [2 * jobs] and is clamped to at least
-    [jobs + 1] so workers are never starved by the window. *)
+(** {!Pool.run}, recording the metrics above. *)

@@ -278,17 +278,116 @@ end
    @raise Invalid_argument on a match reaching before the start of the
    output. *)
 let detokenize tokens =
+  let module Lz77 = Zipchannel_compress.Lz77 in
   let out = Buffer.create 256 in
   Array.iter
     (fun token ->
-      match token with
-      | Zipchannel_compress.Lz77.Literal c -> Buffer.add_char out c
-      | Zipchannel_compress.Lz77.Match { length; distance } ->
-          let start = Buffer.length out - distance in
-          if start < 0 then invalid_arg "Lz77.detokenize: distance too large";
-          (* Byte-by-byte copy so that overlapping matches self-extend. *)
-          for k = 0 to length - 1 do
-            Buffer.add_char out (Buffer.nth out (start + k))
-          done)
+      if Lz77.is_match token then begin
+        let start = Buffer.length out - Lz77.match_distance token in
+        if start < 0 then invalid_arg "Lz77.detokenize: distance too large";
+        (* Byte-by-byte copy so that overlapping matches self-extend. *)
+        for k = 0 to Lz77.match_length token - 1 do
+          Buffer.add_char out (Buffer.nth out (start + k))
+        done
+      end
+      else Buffer.add_char out (Char.chr token))
     tokens;
   Buffer.to_bytes out
+
+(* [Lz77.tokenize_array] as a byte-at-a-time executable specification:
+   a fresh [prev] indexed by absolute position, the 3-byte hash
+   recomputed at every insert, option-returning match search and a
+   byte-by-byte match extender.  Same hash chains and tie-breaks, so the
+   same tokens, in a list. *)
+module Lz77_ref = struct
+  open Zipchannel_compress.Lz77
+
+  let tokenize ?(strategy = Greedy) ?(max_chain = 128) input =
+    let n = Bytes.length input in
+    let byte i = Char.code (Bytes.unsafe_get input i) in
+    let head = Array.make (hash_mask + 1) (-1) in
+    let prev = Array.make (max 1 n) (-1) in
+    let insert pos =
+      if pos + min_match <= n then begin
+        let h = hash_of_triple (byte pos) (byte (pos + 1)) (byte (pos + 2)) in
+        prev.(pos) <- head.(h);
+        head.(h) <- pos
+      end
+    in
+    let match_length pos cand =
+      let limit = min max_match (n - pos) in
+      let len = ref 0 in
+      while !len < limit && Bytes.get input (cand + !len) = Bytes.get input (pos + !len) do
+        incr len
+      done;
+      !len
+    in
+    let best_match pos =
+      if pos + min_match > n then None
+      else begin
+        let h = hash_of_triple (byte pos) (byte (pos + 1)) (byte (pos + 2)) in
+        let best_len = ref 0 and best_pos = ref (-1) in
+        let cand = ref head.(h) and chain = ref max_chain in
+        while !cand >= 0 && !chain > 0 do
+          if pos - !cand <= window_size then begin
+            let len = match_length pos !cand in
+            if len > !best_len then begin
+              best_len := len;
+              best_pos := !cand
+            end;
+            cand := prev.(!cand);
+            decr chain
+          end
+          else cand := -1
+        done;
+        if !best_len >= min_match then Some (!best_len, pos - !best_pos) else None
+      end
+    in
+    let out = ref [] in
+    let emit t = out := t :: !out in
+    let literal pos = emit (Char.code (Bytes.get input pos)) in
+    let emit_match (length, distance) = emit (match_token ~length ~distance) in
+    (match strategy with
+    | Greedy ->
+        let pos = ref 0 in
+        while !pos < n do
+          match best_match !pos with
+          | Some (length, distance) ->
+              emit_match (length, distance);
+              for p = !pos to !pos + length - 1 do insert p done;
+              pos := !pos + length
+          | None ->
+              literal !pos;
+              insert !pos;
+              incr pos
+        done
+    | Lazy ->
+        (* zlib's deflate_slow: hold a match found at pos-1 and abandon
+           it for a single literal when pos matches strictly longer. *)
+        let pos = ref 0 in
+        let pending = ref None (* best match at !pos - 1 *) in
+        while !pos < n do
+          let m = best_match !pos in
+          insert !pos;
+          (match !pending with
+          | None ->
+              if m = None then literal !pos else pending := m;
+              incr pos
+          | Some (plen, pdist) ->
+              let better = match m with Some (len, _) -> len > plen | None -> false in
+              if better then begin
+                literal (!pos - 1);
+                pending := m;
+                incr pos
+              end
+              else begin
+                emit_match (plen, pdist);
+                let next = !pos - 1 + plen in
+                for p = !pos + 1 to next - 1 do insert p done;
+                pos := next;
+                pending := None
+              end)
+        done;
+        Option.iter emit_match !pending);
+    List.rev !out
+end

@@ -3,7 +3,7 @@
    The optimized word-level paths (Bigstring, the bigstring-backed
    Bitio, the array-emitting LZ77, and the arena-driven bzip2 chain)
    must be byte-identical to the retained reference implementations
-   (Bitio_ref, Lz77.tokenize_ref, Bzip2.compress_ref) on arbitrary
+   (Bitio_ref, Oracles.Lz77_ref, Bzip2.compress_ref) on arbitrary
    inputs, at every block size and jobs count.  The arena tests pin the
    reuse discipline: same slot, same buffer, across blocks and after
    exceptions. *)
@@ -81,6 +81,32 @@ let qcheck_common_prefix =
       let limit = n - max i j in
       let big = Bigstring.of_bytes b in
       Bigstring.common_prefix big i j ~limit = naive_common_prefix b i j ~limit)
+
+(* A mismatch inside a word must cost no allocation: the LZ77 match
+   extender ends every candidate on one, so a boxed intermediate there is
+   a few words per input byte.  One differing byte at 3000; comparing
+   offset 0 with [2200 - k] meets it at [800 + k], byte [k] of a
+   word. *)
+let test_common_prefix_allocation () =
+  let b = Bytes.make 4096 'a' in
+  Bytes.set b 3000 'b';
+  let big = Bigstring.of_bytes b in
+  let sum = ref 0 in
+  let run () =
+    for c = 0 to 9_999 do
+      let k = c land 7 in
+      sum := !sum + Bigstring.common_prefix big 0 (2200 - k) ~limit:900
+    done
+  in
+  run ();
+  Alcotest.(check int) "every call stops at the mismatch"
+    (10_000 * 800 + (1250 * 28)) !sum;
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "10k mismatching common_prefix calls allocated %.0f minor words"
+      words
 
 (* ------------------------------------------------------------------ *)
 (* Bitio vs Bitio_ref: writers on arbitrary op sequences, readers on
@@ -188,22 +214,46 @@ let qcheck_lsb_reader_matches_ref =
 
 let lz77_input_gen =
   (* Low alphabet maximizes matches (the interesting path); mixing in a
-     plain string generator covers literal-heavy inputs. *)
-  QCheck.(
-    pair bool
-      (oneof
-         [
-           string_gen_of_size Gen.(0 -- 2000) (Gen.oneofl [ 'a'; 'b'; 'z' ]);
-           string_of_size Gen.(0 -- 500);
-         ]))
+     plain string generator covers literal-heavy inputs.  The 40-140 KiB
+     inputs cross the 32 KiB window, so the chains wrap [prev]'s ring:
+     low-alphabet ones keep every chain full, periodic ones with a
+     period near 32768 put the best match just inside or just outside
+     the window.  Each case is tokenized whole and then cut to a second
+     size, so the second run reads arena tables the first one left
+     stale. *)
+  let open QCheck.Gen in
+  let low = oneofl [ 'a'; 'b'; 'z' ] and large = int_range 40_960 143_360 in
+  let periodic =
+    int_range 32_760 32_776 >>= fun period ->
+    map2
+      (fun n block -> String.init n (fun i -> block.[i mod period]))
+      large
+      (string_size ~gen:char (return period))
+  in
+  let input =
+    frequency
+      [
+        (4, string_size ~gen:low (0 -- 2000));
+        (2, string_size ~gen:char (0 -- 500));
+        (1, string_size ~gen:low large);
+        (1, periodic);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (lazy_strategy, (s, cut)) ->
+      Printf.sprintf "(lazy %b, %d bytes cut to %d)" lazy_strategy
+        (String.length s) cut)
+    (pair bool (input >>= fun s -> map (fun cut -> (s, cut)) (0 -- String.length s)))
 
 let qcheck_lz77_matches_ref =
   QCheck.Test.make ~name:"Lz77.tokenize = tokenize_ref" ~count:300
-    lz77_input_gen (fun (lazy_strategy, s) ->
+    lz77_input_gen (fun (lazy_strategy, (s, cut)) ->
       let strategy = if lazy_strategy then Lz77.Lazy else Lz77.Greedy in
-      let b = Bytes.of_string s in
-      Array.to_list (Lz77.tokenize_array ~strategy b)
-      = Lz77.tokenize_ref ~strategy b)
+      List.for_all
+        (fun b ->
+          Array.to_list (Lz77.tokenize_array ~strategy b)
+          = Oracles.Lz77_ref.tokenize ~strategy b)
+        [ Bytes.of_string s; Bytes.of_string (String.sub s 0 cut) ])
 
 (* ------------------------------------------------------------------ *)
 (* Bzip2: the arena pipeline vs the sequential Bytes-copy reference,
@@ -318,6 +368,8 @@ let suite =
       Alcotest.test_case "bytes word roundtrip" `Quick test_bytes_word_roundtrip;
       Alcotest.test_case "blit roundtrips" `Quick test_blit_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_common_prefix;
+      Alcotest.test_case "common_prefix mismatch allocates nothing" `Quick
+        test_common_prefix_allocation;
       QCheck_alcotest.to_alcotest qcheck_writer_matches_ref;
       QCheck_alcotest.to_alcotest qcheck_lsb_writer_matches_ref;
       QCheck_alcotest.to_alcotest qcheck_reader_matches_ref;

@@ -516,7 +516,7 @@ let test_lz77_finds_repetition () =
   let input = Bytes.of_string "abcabcabcabc" in
   let tokens = Lz77.tokenize_array input in
   let has_match =
-    Array.exists (function Lz77.Match _ -> true | Lz77.Literal _ -> false) tokens
+    Array.exists Lz77.is_match tokens
   in
   Alcotest.(check bool) "found a match" true has_match;
   Alcotest.check bytes_testable "detokenize" input (Oracles.detokenize tokens)
@@ -527,16 +527,14 @@ let test_lz77_overlapping_match () =
   let tokens = Lz77.tokenize_array input in
   Alcotest.check bytes_testable "detokenize overlap" input (Oracles.detokenize tokens);
   let found =
-    Array.exists
-      (function Lz77.Match { distance = 1; _ } -> true | _ -> false)
-      tokens
+    Array.exists (fun t -> Lz77.is_match t && Lz77.match_distance t = 1) tokens
   in
   Alcotest.(check bool) "distance-1 match" true found
 
 let test_lz77_bad_distance () =
   Alcotest.check_raises "bad distance"
     (Invalid_argument "Lz77.detokenize: distance too large") (fun () ->
-      ignore (Oracles.detokenize [| Lz77.Match { length = 3; distance = 5 } |]))
+      ignore (Oracles.detokenize [| Lz77.match_token ~length:3 ~distance:5 |]))
 
 let test_lz77_lazy_roundtrip () =
   let t = prng () in
@@ -562,8 +560,7 @@ let test_lz77_lazy_defers_match () =
   let input = Bytes.of_string "abc bcdef xabcdef" in
   let lazy_tokens = Lz77.tokenize_array ~strategy:Lz77.Lazy input in
   let has_len n =
-    Array.exists
-      (function Lz77.Match { length; _ } -> length = n | Lz77.Literal _ -> false)
+    Array.exists (fun t -> Lz77.is_match t && Lz77.match_length t = n)
   in
   Alcotest.(check bool) "lazy finds the 5-byte match" true
     (has_len 5 lazy_tokens);
@@ -622,14 +619,8 @@ let test_deflate_all_distances_roundtrip () =
     check_code "distance" Deflate.distance_code dist
   done
 
-(* Decoders allocate little beyond their output: the Huffman table
-   decoder ~1 byte per output byte, deflate ~3 (a doubling
-   output buffer, then the exact-size copy).  Each case runs once
-   unmeasured first, and the least of three measured runs counts: the
-   allocation counters of domains that earlier tests ran and ended are
-   folded into this domain's once, at some later collection, and that
-   one-off bump must not be charged to the decoder. *)
-let test_decode_allocation () =
+(* Text, prose and random, 256 KiB each. *)
+let shapes_256k () =
   let size = 262_144 in
   let t = prng () in
   let prose =
@@ -640,13 +631,22 @@ let test_decode_allocation () =
     done;
     Buffer.sub b 0 size
   in
-  let shapes =
-    [
-      ("text", Bytes.of_string (Lipsum.repetitive_file t ~level:4 ~size));
-      ("prose", Bytes.of_string prose);
-      ("random", Prng.bytes t size);
-    ]
-  in
+  [
+    ("text", Bytes.of_string (Lipsum.repetitive_file t ~level:4 ~size));
+    ("prose", Bytes.of_string prose);
+    ("random", Prng.bytes t size);
+  ]
+
+(* Decoders allocate little beyond their output: the Huffman table
+   decoder ~1 byte per output byte, deflate ~3 (a doubling
+   output buffer, then the exact-size copy).  Each case runs once
+   unmeasured first, and the least of three measured runs counts: the
+   allocation counters of domains that earlier tests ran and ended are
+   folded into this domain's once, at some later collection, and that
+   one-off bump must not be charged to the decoder. *)
+let test_decode_allocation () =
+  let size = 262_144 in
+  let shapes = shapes_256k () in
   let per_byte name decode packed ~bound =
     ignore (decode packed);
     let measure () =
@@ -669,6 +669,82 @@ let test_decode_allocation () =
   per_byte "Deflate.decompress random" Deflate.decompress
     (Deflate.compress (List.assoc "random" shapes))
     ~bound:8.0
+
+(* Least of three measured runs after an unmeasured one, per input
+   byte. *)
+let alloc_per_byte f input =
+  f input;
+  let measure () =
+    let before = Gc.allocated_bytes () in
+    f input;
+    (Gc.allocated_bytes () -. before) /. float_of_int (Bytes.length input)
+  in
+  List.fold_left min infinity (List.init 3 (fun _ -> measure ()))
+
+let frame_stream ~jobs ~codec input =
+  let pos = ref 0 in
+  Frame.compress_stream ~jobs ~codec
+    ~read:(fun buf off len ->
+      let n = min len (Bytes.length input - !pos) in
+      Bytes.blit input !pos buf off n;
+      pos := !pos + n;
+      n)
+    ~write:(fun _ ~off:_ ~len:_ -> ())
+    ()
+
+(* The encoder side of the same pattern: with the LZ77 tables and tokens
+   in the domain's arena, a steady-state [Deflate.compress] allocates
+   little beyond its output, and so does framed deflate through
+   [compress_stream] at jobs 1 and 2 (frame staging is reused too).  At
+   jobs 2 the counters see the calling domain's share of the frames. *)
+let test_encode_allocation () =
+  let check name per_byte ~bound =
+    if per_byte > bound then
+      Alcotest.failf "%s allocates %.2f B per input byte (bound %.1f)" name
+        per_byte bound
+  in
+  List.iter
+    (fun (shape, plain) ->
+      check ("Deflate.compress " ^ shape)
+        (alloc_per_byte (fun b -> ignore (Deflate.compress b)) plain)
+        ~bound:2.0;
+      List.iter
+        (fun jobs ->
+          check
+            (Printf.sprintf "framed deflate jobs %d %s" jobs shape)
+            (alloc_per_byte (frame_stream ~jobs ~codec:Frame.Deflate) plain)
+            ~bound:2.0)
+        [ 1; 2 ])
+    (shapes_256k ())
+
+(* LZW's two 2^17-entry tables are arena slots too, so a 64 KiB frame no
+   longer pays 2 MiB of tables (32 B per input byte). *)
+let test_lzw_frame_allocation () =
+  List.iter
+    (fun (shape, plain) ->
+      let per_byte = alloc_per_byte (frame_stream ~jobs:1 ~codec:Frame.Lzw) plain in
+      if per_byte > 3.0 then
+        Alcotest.failf "framed lzw %s allocates %.2f B per input byte (bound 3.0)"
+          shape per_byte)
+    (shapes_256k ())
+
+(* What a domain keeps after one 16 MiB compress is bounded by a
+   constant: its arena keeps no slot past 2 MiB, so neither the 16M
+   tokens nor the 16 MiB staged input stay behind. *)
+let test_arena_retention_bounded () =
+  let t = prng () in
+  let big = Bytes.of_string (Lipsum.repetitive_file t ~level:4 ~size:(16 lsl 20)) in
+  let small = Bytes.sub big 0 65_536 in
+  let kept () = Zipchannel_buf.Arena.with_arena Zipchannel_buf.Arena.footprint in
+  ignore (Deflate.compress small);
+  let before = kept () in
+  let packed = Deflate.compress big in
+  let after = kept () in
+  Alcotest.(check bool) "16 MiB compress round-trips" true
+    (Bytes.equal big (Deflate.decompress packed));
+  if after > before + (16 lsl 20) then
+    Alcotest.failf "the arena holds %d bytes after a 16 MiB compress (%d before)"
+      after before
 
 let test_deflate_roundtrip () =
   let t = prng () in
@@ -1035,4 +1111,10 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_snappy;
       Alcotest.test_case "decode allocation per output byte" `Quick
         test_decode_allocation;
+      Alcotest.test_case "encode allocation per input byte" `Quick
+        test_encode_allocation;
+      Alcotest.test_case "framed lzw allocation per input byte" `Quick
+        test_lzw_frame_allocation;
+      Alcotest.test_case "arena retention after a 16 MiB compress" `Quick
+        test_arena_retention_bounded;
     ] )

@@ -11,6 +11,7 @@ open Zipchannel_util
 module C = Zipchannel_compress
 module Frame = C.Frame
 module Pipeline = Zipchannel_parallel.Pipeline
+module Pool = Zipchannel_parallel.Pool
 module Obs = Zipchannel_obs.Obs
 
 let all_codecs = Frame.[ Deflate; Gzip; Bzip2; Lzw ]
@@ -316,10 +317,21 @@ let qcheck_stream_jobs_identical =
       Bytes.equal (run 1) (run 4))
 
 (* ------------------------------------------------------------------ *)
-(* The pipeline engine proper (unclamped: these exercise real domains
-   even on a single-core machine) *)
+(* The pipeline engine proper.  The pool clamps [jobs] to
+   [available_jobs], so these run on at most that many domains: with one
+   helper on two cores, more than one helper at a time only on three or
+   more.  On one core they would run the sequential path, so the tests
+   whose point is concurrency skip there instead of passing vacuously;
+   the qcheck properties compare against jobs 1 and hold either way. *)
+
+let needs_two_domains () =
+  if Pool.available_jobs () < 2 then begin
+    print_endline "skipped: one core, so jobs clamps to 1 and no helper runs";
+    Alcotest.skip ()
+  end
 
 let test_pipeline_order_and_identity () =
+  needs_two_domains ();
   let n = 500 in
   let out = ref [] in
   Pipeline.run ~jobs:4
@@ -340,6 +352,7 @@ let test_pipeline_backpressure () =
      the producer can never run more than 4 items ahead of the
      consumer.  The producer and consumer run in the calling domain, so
      observing [produced - consumed] at produce time is race-free. *)
+  needs_two_domains ();
   let produced = ref 0 and consumed = ref 0 in
   let max_ahead = ref 0 in
   Pipeline.run ~jobs:3 ~capacity:4
@@ -365,6 +378,7 @@ let test_pipeline_backpressure () =
     true (!max_ahead <= 4)
 
 let test_pipeline_worker_exception_propagates () =
+  needs_two_domains ();
   let boom = Failure "boom at 17" in
   let consumed_after_fault = ref false in
   (match
@@ -380,6 +394,7 @@ let test_pipeline_worker_exception_propagates () =
     !consumed_after_fault
 
 let test_pipeline_consumer_exception_propagates () =
+  needs_two_domains ();
   match
     Pipeline.run ~jobs:2
       ~produce:(fun ~seq -> if seq < 50 then Some seq else None)
@@ -405,6 +420,152 @@ let qcheck_pipeline_deterministic =
         Buffer.contents acc
       in
       run 1 = run jobs)
+
+(* ------------------------------------------------------------------ *)
+(* The persistent pool under [Pipeline] and [Pool.map_*] *)
+
+(* [f ()] and the domains that emitted a codec span while it ran. *)
+let codec_domains f =
+  let seen = ref [] in
+  let previous = Obs.Trace.sink () in
+  Obs.Trace.set_sink
+    (Obs.Trace.Custom
+       (fun ev ->
+         if ev.Obs.Trace.name = "deflate.compress" && not (List.mem ev.domain !seen)
+         then seen := ev.domain :: !seen));
+  let r = Fun.protect ~finally:(fun () -> Obs.Trace.set_sink previous) f in
+  (r, !seen)
+
+(* Domains are spawned once and parked, not per call: across 50 framed
+   compressions at jobs 2, the domains that run [work] number at most
+   [available_jobs]. *)
+let test_pool_domains_bounded () =
+  needs_two_domains ();
+  let data = lipsum 300_000 in
+  let (), seen =
+    codec_domains (fun () ->
+        for _ = 1 to 50 do
+          ignore (Frame.compress ~jobs:2 ~codec:Frame.Deflate data)
+        done)
+  in
+  let n = List.length seen in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains ran work (available %d)" n (Pool.available_jobs ()))
+    true
+    (n >= 1 && n <= Pool.available_jobs ())
+
+(* The domains other than the caller's that ran one framed compression,
+   checking its bytes on the way. *)
+let helper_domains ~want data =
+  let got, seen =
+    codec_domains (fun () ->
+        Frame.compress ~frame_size:4096 ~jobs:2 ~codec:Frame.Deflate data)
+  in
+  Alcotest.(check bytes) "jobs-1 bytes" want got;
+  List.filter (fun d -> d <> (Domain.self () :> int)) seen
+
+(* A worker idle for two major cycles retires, and the next parallel
+   call gets a fresh one: a process that stops asking for parallelism
+   stops paying for a parked domain at every collection. *)
+let test_pool_idle_worker_retires () =
+  needs_two_domains ();
+  let data = lipsum 400_000 in
+  let want = Frame.compress ~frame_size:4096 ~jobs:1 ~codec:Frame.Deflate data in
+  let rec first_helper tries =
+    match helper_domains ~want data with
+    | d :: _ -> Some d
+    | [] -> if tries > 1 then first_helper (tries - 1) else None
+  in
+  let before = first_helper 5 in
+  Alcotest.(check bool) "a helper ran" true (before <> None);
+  let rec after tries =
+    Gc.full_major ();
+    Gc.full_major ();
+    Thread.delay 0.05;
+    match first_helper 5 with
+    | Some d when Some d <> before -> true
+    | _ -> tries > 1 && after (tries - 1)
+  in
+  Alcotest.(check bool) "a fresh worker after the idle period" true (after 5)
+
+(* A call nested in another call's item cannot deadlock, whichever
+   primitive is outside. *)
+let test_pool_nesting () =
+  needs_two_domains ();
+  let squares n = Array.init n (fun i -> i * i) in
+  let out = ref [] in
+  Pipeline.run ~jobs:2
+    ~produce:(fun ~seq -> if seq < 8 then Some seq else None)
+    ~work:(fun x ->
+      Array.fold_left ( + ) 0 (Pool.map_array ~jobs:2 (fun i -> i * i) (Array.init (x + 20) Fun.id)))
+    ~consume:(fun ~seq:_ y -> out := y :: !out)
+    ();
+  Alcotest.(check (list int)) "map inside pipeline"
+    (List.init 8 (fun x -> Array.fold_left ( + ) 0 (squares (x + 20))))
+    (List.rev !out);
+  let sums =
+    Pool.map_array ~jobs:2
+      (fun x ->
+        let acc = ref 0 in
+        Pipeline.run ~jobs:2
+          ~produce:(fun ~seq -> if seq < x + 20 then Some seq else None)
+          ~work:(fun i -> i * i)
+          ~consume:(fun ~seq:_ y -> acc := !acc + y)
+          ();
+        !acc)
+      (Array.init 8 Fun.id)
+  in
+  Alcotest.(check (array int)) "pipeline inside map"
+    (Array.init 8 (fun x -> Array.fold_left ( + ) 0 (squares (x + 20))))
+    sums
+
+(* Two systhreads sharing the pool each get the jobs-1 bytes. *)
+let test_pool_concurrent_threads () =
+  needs_two_domains ();
+  let inputs = [| lipsum 200_000; Bytes.sub (lipsum 250_000) 7 180_000 |] in
+  let want = Array.map (fun d -> Frame.compress ~jobs:1 ~codec:Frame.Deflate d) inputs in
+  let got = Array.make 2 Bytes.empty in
+  let threads =
+    Array.mapi
+      (fun i d ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 3 do
+              got.(i) <- Frame.compress ~jobs:2 ~codec:Frame.Deflate d
+            done)
+          ())
+      inputs
+  in
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun i w -> Alcotest.(check bytes) (Printf.sprintf "thread %d" i) w got.(i))
+    want
+
+(* A failing call leaves the pool usable. *)
+let test_pool_failure_recovers () =
+  needs_two_domains ();
+  let run fail_at =
+    let acc = ref 0 in
+    Pipeline.run ~jobs:2
+      ~produce:(fun ~seq -> if seq < 64 then Some seq else None)
+      ~work:(fun x -> if x = fail_at then failwith "work failed" else x)
+      ~consume:(fun ~seq:_ y -> acc := !acc + y)
+      ();
+    !acc
+  in
+  (match run 9 with
+  | _ -> Alcotest.fail "expected the work failure to propagate"
+  | exception Failure msg -> Alcotest.(check string) "message" "work failed" msg);
+  Alcotest.(check int) "next pipeline succeeds" (64 * 63 / 2) (run (-1));
+  (match Pool.map_array ~jobs:2 (fun x -> if x = 5 then failwith "map failed" else x) (Array.init 40 Fun.id) with
+  | _ -> Alcotest.fail "expected the map failure to propagate"
+  | exception Failure msg -> Alcotest.(check string) "map message" "map failed" msg);
+  Alcotest.(check (array int)) "next map succeeds" (Array.init 40 (fun x -> 2 * x))
+    (Pool.map_array ~jobs:2 (fun x -> 2 * x) (Array.init 40 Fun.id));
+  let data = lipsum 100_000 in
+  Alcotest.(check bytes) "framed compress after failures"
+    (Frame.compress ~jobs:1 ~codec:Frame.Deflate data)
+    (Frame.compress ~jobs:2 ~codec:Frame.Deflate data)
 
 let suite =
   ( "frame",
@@ -435,4 +596,13 @@ let suite =
       Alcotest.test_case "pipeline consumer exception" `Quick
         test_pipeline_consumer_exception_propagates;
       QCheck_alcotest.to_alcotest qcheck_pipeline_deterministic;
+      Alcotest.test_case "pool domains bounded across calls" `Quick
+        test_pool_domains_bounded;
+      Alcotest.test_case "pool idle worker retires" `Quick
+        test_pool_idle_worker_retires;
+      Alcotest.test_case "pool nesting" `Quick test_pool_nesting;
+      Alcotest.test_case "pool concurrent systhreads" `Quick
+        test_pool_concurrent_threads;
+      Alcotest.test_case "pool failure recovers" `Quick
+        test_pool_failure_recovers;
     ] )
