@@ -9,7 +9,27 @@
 
 module Bigstring = Zipchannel_buf.Bigstring
 
-external bswap64 : int64 -> int64 = "%bswap_int64"
+(* Each byte with its bits reversed. *)
+let rev8 =
+  String.init 256 (fun b ->
+      let r = ref 0 in
+      for k = 0 to 7 do
+        if b land (1 lsl k) <> 0 then r := !r lor (1 lsl (7 - k))
+      done;
+      Char.chr !r)
+
+let[@inline] rev_byte v = Char.code (String.unsafe_get rev8 (v land 0xff))
+
+(* The low [n] (0..30) bits of [v], reversed, one table lookup per
+   byte. *)
+let reverse v n =
+  if n <= 16 then ((rev_byte v lsl 8) lor rev_byte (v lsr 8)) lsr (16 - n)
+  else
+    ((rev_byte v lsl 24)
+    lor (rev_byte (v lsr 8) lsl 16)
+    lor (rev_byte (v lsr 16) lsl 8)
+    lor rev_byte (v lsr 24))
+    lsr (32 - n)
 
 module Writer = struct
   type t = {
@@ -68,13 +88,7 @@ module Writer = struct
     if count < 0 || count > 30 then invalid_arg "Bitio.add_bits_lsb: count";
     if value lsr count <> 0 then invalid_arg "Bitio.add_bits_lsb: value too wide";
     (* Reverse the [count] bits, then append MSB-first. *)
-    let rev = ref 0 in
-    let v = ref value in
-    for _ = 1 to count do
-      rev := (!rev lsl 1) lor (!v land 1);
-      v := !v lsr 1
-    done;
-    t.acc <- (t.acc lsl count) lor !rev;
+    t.acc <- (t.acc lsl count) lor reverse value count;
     t.nbits <- t.nbits + count;
     flush_whole_bytes t
 
@@ -307,7 +321,7 @@ module Reader = struct
     if byte0 + 8 <= Bytes.length t.data then
       (* One unaligned load, byte-swapped so the first byte in memory
          is most significant, mirroring the MSB-first stream order. *)
-      let w = bswap64 (Bigstring.bytes_get64u t.data byte0) in
+      let w = Bigstring.bswap64 (Bigstring.bytes_get64u t.data byte0) in
       Int64.to_int (Int64.shift_right_logical w (64 - (t.pos land 7) - count))
       land ((1 lsl count) - 1)
     else gather_tail t count
@@ -347,13 +361,7 @@ module Reader = struct
     if count < 0 || count > 30 then invalid_arg "Bitio.read_bits_lsb: count";
     (* Stream order is the same as [read_bits_msb]; only the assembly order
        of the result differs, so gather then bit-reverse. *)
-    let msb = read_bits_msb t count in
-    let v = ref 0 and m = ref msb in
-    for _ = 1 to count do
-      v := (!v lsl 1) lor (!m land 1);
-      m := !m lsr 1
-    done;
-    !v
+    reverse (read_bits_msb t count) count
 
   let align_byte t = if t.pos land 7 <> 0 then t.pos <- (t.pos lor 7) + 1
 

@@ -11,6 +11,13 @@
     code stream (like compress(1)) packs least-significant-bit first.  A
     given stream must use one order consistently. *)
 
+val rev8 : string
+(** Byte [b] of [rev8] is [b] with its eight bits reversed. *)
+
+val reverse : int -> int -> int
+(** [reverse v n] is the low [n] bits of [v] in reverse order, for [n]
+    in 0..30: the first bit becomes the last. *)
+
 module Writer : sig
   type t
 
@@ -64,7 +71,13 @@ module Lsb_writer : sig
 end
 
 module Lsb_reader : sig
-  type t
+  type t = { data : bytes; mutable pos : int; limit : int }
+  (** [pos] is the next bit to read and [limit] the first bit past the
+      readable slice (a byte boundary), both counted from the start of
+      [data].  The decoders that keep their bit buffer in local
+      variables ({!Deflate}'s inflate loop) read [data] directly and
+      store [pos] back when they hand control on; [pos] never passes
+      [limit]. *)
 
   exception Out_of_bits
 
@@ -98,7 +111,10 @@ module Lsb_reader : sig
 end
 
 module Reader : sig
-  type t
+  type t = { data : bytes; mutable pos : int; limit : int }
+  (** As {!Lsb_reader.t}: the bit position and the limit, counted from
+      the start of [data].  {!Huffman}'s symbol runs and {!Lzw}'s
+      decoder read [data] directly and store [pos] back. *)
 
   exception Out_of_bits
   (** Raised when reading past the end of the stream. *)

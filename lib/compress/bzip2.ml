@@ -327,32 +327,33 @@ let decompress_result data =
           decoders.(t) <- Huffman.decoder_of_lengths lengths
         done;
         (* A well-formed block has at most [len + 2] symbols, and every
-           symbol costs at least one bit; the buffer doubles if a
-           malformed one goes on. *)
+           symbol costs at least one bit; a run needs room for a whole
+           group past them, and the buffer doubles if a malformed block
+           goes on. *)
         let symbols =
-          ref (Array.make (max 16 (min (len + 2) (Bitio.Reader.bits_remaining r))) 0)
+          ref
+            (Array.make
+               (min (len + 2) (Bitio.Reader.bits_remaining r) + group_size)
+               0)
         in
-        let count = ref 0 in
-        let group = ref 0 and left = ref 0 and decoder = ref decoders.(0) in
-        let finished = ref false in
+        (* One run of up to [group_size] symbols per selector, ending
+           early at the end-of-block symbol. *)
+        let count = ref 0 and group = ref 0 and finished = ref false in
         while not !finished do
-          if !left = 0 then begin
-            if !group >= n_selectors then
-              failwith "Bzip2.decompress: selectors exhausted";
-            decoder := decoders.(selectors.(!group));
-            incr group;
-            left := group_size
-          end;
-          let s = Huffman.read_symbol r !decoder in
-          if !count = Array.length !symbols then begin
-            let grown = Array.make (2 * !count) 0 in
+          if !group >= n_selectors then
+            failwith "Bzip2.decompress: selectors exhausted";
+          let decoder = decoders.(selectors.(!group)) in
+          incr group;
+          if !count + group_size > Array.length !symbols then begin
+            let grown = Array.make (2 * (!count + group_size)) 0 in
             Array.blit !symbols 0 grown 0 !count;
             symbols := grown
           end;
-          Array.unsafe_set !symbols !count s;
-          incr count;
-          decr left;
-          if s = Rle2.eob then finished := true
+          count :=
+            !count
+            + Huffman.read_symbols r decoder !symbols ~at:!count
+                ~count:group_size ~stop:Rle2.eob;
+          if !symbols.(!count - 1) = Rle2.eob then finished := true
         done;
         (* The decoded block must come out exactly [len] bytes, so [len]
            also caps the zero-run expansion. *)

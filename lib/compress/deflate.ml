@@ -431,23 +431,152 @@ let add_match out ~distance ~length =
     done;
   out.len <- out.len + length
 
-(* A compressed block's bytes, appended to [out]. *)
-let inflate_block r out litlen dist =
-  let t = ref (read_token r litlen dist) in
-  while !t >= 0 do
-    let tok = !t in
-    if tok > 0xff then begin
-      let distance = tok land 0xffff in
-      if distance > out.len then too_far ();
-      add_match out ~distance ~length:(tok lsr 16)
-    end
+module Bigstring = Zipchannel_buf.Bigstring
+
+(* zlib's inflate_fast: a compressed block's tokens appended to [out]
+   with the bit buffer in local variables and the tables indexed
+   directly, so no call per token.  [hold]'s low [bits] bits are the
+   next stream bits, first bit lowest; above them sit the stream bits
+   that follow, or zeros.  Below 48 bits, the longest token (a 15-bit
+   length code, 5 extra bits, a 15-bit distance code and 13 extra
+   bits), one 8-byte load inside the reader's slice tops [hold] up to
+   56..63 bits, so every token here is decoded from real stream bits.
+
+   The loop hands control back, with [r] at the first undecoded token,
+   within 8 bytes of the end of the slice and before any token that
+   is an error: a code the table lacks, length symbol 286 or 287, a
+   match in a block without distance codes, distance symbol 30 or 31,
+   or a distance past the output.  [inflate_block]'s tail then decodes
+   that token with [read_token], which raises the error with its exact
+   reader position.  Returns [true] at the end of the block. *)
+let inflate_fast (r : Bitio.Lsb_reader.t) out litlen dist =
+  let data = r.data and last = (r.limit lsr 3) - 8 in
+  let lt = Huffman.lsb_table litlen and lroot = Huffman.lsb_root_bits litlen in
+  let lmask = (1 lsl lroot) - 1 in
+  let dt, droot =
+    match dist with
+    | Some d -> (Huffman.lsb_table d, Huffman.lsb_root_bits d)
+    | None -> ([||], -1)
+  in
+  let dmask = (1 lsl max 0 droot) - 1 in
+  let p0 = r.pos in
+  let pos = ref (p0 lsr 3) and hold = ref 0 and bits = ref 0 in
+  if p0 land 7 <> 0 then begin
+    hold := Char.code (Bytes.unsafe_get data !pos) lsr (p0 land 7);
+    bits := 8 - (p0 land 7);
+    incr pos
+  end;
+  let len = ref out.len and go = ref true and ended = ref false in
+  while !go do
+    if !bits < 48 && !pos > last then go := false
     else begin
-      if out.len = Bytes.length out.buf then reserve out 1;
-      Bytes.unsafe_set out.buf out.len (Char.unsafe_chr tok);
-      out.len <- out.len + 1
-    end;
-    t := read_token r litlen dist
-  done
+      if !bits < 48 then begin
+        (* The whole bytes that fit: [bits + 8 * k] is [bits lor 56]. *)
+        hold :=
+          !hold lor (Int64.to_int (Bigstring.bytes_get64u data !pos) lsl !bits);
+        pos := !pos + ((63 - !bits) lsr 3);
+        bits := !bits lor 56
+      end;
+      let h = !hold in
+      let e = Array.unsafe_get lt (h land lmask) in
+      let e =
+        if e land 16 = 0 then e
+        else
+          Array.unsafe_get lt
+            ((e lsr 5) + ((h lsr lroot) land ((1 lsl (e land 15)) - 1)))
+      in
+      let n = e land 15 and sym = e lsr 5 in
+      if n = 0 then go := false
+      else if sym < 256 then begin
+        hold := h lsr n;
+        bits := !bits - n;
+        if !len = Bytes.length out.buf then begin
+          out.len <- !len;
+          reserve out 1
+        end;
+        Bytes.unsafe_set out.buf !len (Char.unsafe_chr sym);
+        incr len
+      end
+      else if sym = end_of_block then begin
+        hold := h lsr n;
+        bits := !bits - n;
+        ended := true;
+        go := false
+      end
+      else if sym > 285 || droot < 0 then go := false
+      else begin
+        let h = h lsr n and x = Array.unsafe_get length_extra (sym - 257) in
+        let length = Array.unsafe_get length_bases (sym - 257) + (h land ((1 lsl x) - 1)) in
+        let h = h lsr x in
+        let de = Array.unsafe_get dt (h land dmask) in
+        let de =
+          if de land 16 = 0 then de
+          else
+            Array.unsafe_get dt
+              ((de lsr 5) + ((h lsr droot) land ((1 lsl (de land 15)) - 1)))
+        in
+        let dn = de land 15 and dsym = de lsr 5 in
+        if dn = 0 || dsym >= dist_alphabet then go := false
+        else begin
+          let h = h lsr dn and xd = Array.unsafe_get distance_extra dsym in
+          let distance =
+            Array.unsafe_get distance_bases dsym + (h land ((1 lsl xd) - 1))
+          in
+          if distance > !len then go := false
+          else begin
+            hold := h lsr xd;
+            bits := !bits - (n + x + dn + xd);
+            (* 8 bytes at a time when the distance allows it (the source
+               word then lies wholly in written output), so the copy
+               may write up to 7 bytes past the match. *)
+            if !len + length + 8 > Bytes.length out.buf then begin
+              out.len <- !len;
+              reserve out (length + 8)
+            end;
+            let buf = out.buf and dst = !len in
+            let src = dst - distance in
+            if distance >= 8 then begin
+              let k = ref 0 in
+              while !k < length do
+                Bigstring.bytes_set64u buf (dst + !k)
+                  (Bigstring.bytes_get64u buf (src + !k));
+                k := !k + 8
+              done
+            end
+            else
+              for k = 0 to length - 1 do
+                Bytes.unsafe_set buf (dst + k) (Bytes.unsafe_get buf (src + k))
+              done;
+            len := dst + length
+          end
+        end
+      end
+    end
+  done;
+  r.pos <- (8 * !pos) - !bits;
+  out.len <- !len;
+  !ended
+
+(* A compressed block's bytes, appended to [out]: [inflate_fast], then
+   the token-at-a-time tail for what it hands back. *)
+let inflate_block r out litlen dist =
+  if not (inflate_fast r out litlen dist) then begin
+    let t = ref (read_token r litlen dist) in
+    while !t >= 0 do
+      let tok = !t in
+      if tok > 0xff then begin
+        let distance = tok land 0xffff in
+        if distance > out.len then too_far ();
+        add_match out ~distance ~length:(tok lsr 16)
+      end
+      else begin
+        if out.len = Bytes.length out.buf then reserve out 1;
+        Bytes.unsafe_set out.buf out.len (Char.unsafe_chr tok);
+        out.len <- out.len + 1
+      end;
+      t := read_token r litlen dist
+    done
+  end
 
 let decompress_sub_result data ~off ~len =
   let r = Bitio.Lsb_reader.create ~start:off ~len data in

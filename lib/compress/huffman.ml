@@ -224,20 +224,6 @@ type decoder = {
   table : int array;
 }
 
-(* Each byte with its bits reversed. *)
-let rev8 =
-  String.init 256 (fun b ->
-      let r = ref 0 in
-      for k = 0 to 7 do
-        if b land (1 lsl k) <> 0 then r := !r lor (1 lsl (7 - k))
-      done;
-      Char.chr !r)
-
-(* The low [n] (at most 16) bits of [v], reversed. *)
-let reverse v n =
-  ((Char.code rev8.[v land 0xff] lsl 8) lor Char.code rev8.[(v lsr 8) land 0xff])
-  lsr (16 - n)
-
 (* Canonical codes as {!canonical_codes} assigns them, except that
    oversubscribed lengths are accepted: a code that does not fit in its
    length can never be read, and the others still form a prefix code,
@@ -293,7 +279,7 @@ let table_of_lengths ~lsb lengths =
     end
   done;
   let table = Array.make !size 0 in
-  let index bits i = if lsb then reverse i bits else i in
+  let index bits i = if lsb then Bitio.reverse i bits else i in
   let next = ref (1 lsl root) in
   for p = 0 to (1 lsl root) - 1 do
     let w = Char.code (Bytes.unsafe_get width p) in
@@ -306,7 +292,7 @@ let table_of_lengths ~lsb lengths =
      are [code]. *)
   let fill at ~bits ~code ~len leaf =
     if lsb then begin
-      let rc = reverse code len in
+      let rc = Bitio.reverse code len in
       for k = 0 to (1 lsl (bits - len)) - 1 do
         table.(at + rc + (k lsl len)) <- leaf
       done
@@ -363,16 +349,87 @@ let[@inline] read_symbol r d =
   Bitio.Reader.skip r len;
   e lsr 5
 
+module Bigstring = Zipchannel_buf.Bigstring
+
+(* {!read_symbol} for up to [count] symbols, stored from [dst.(at)],
+   with the bit buffer in local variables as zlib's inflate_fast keeps
+   it: no call per symbol.  [hold]'s low [bits] bits are the next
+   stream bits, first bit most significant; the bits above them are
+   already consumed.  Below 15 bits, the longest code, the next 6 bytes
+   of one big-endian 8-byte load inside the reader's slice top it up,
+   so every lookup here reads real stream bits.  The last 8 bytes of
+   the slice and a code the table lacks go to the tail: [read_symbol]
+   per symbol, from the first undecoded one, whose errors and reader
+   positions are the contract.  Stops after [stop]; returns the number
+   of symbols stored. *)
+let read_symbols (r : Bitio.Reader.t) d dst ~at ~count ~stop =
+  let data = r.data and table = d.table in
+  let root = d.max_len - d.sub_bits in
+  let root_mask = (1 lsl root) - 1 in
+  let last = (r.limit lsr 3) - 8 in
+  let p0 = r.pos in
+  let pos = ref (p0 lsr 3) and hold = ref 0 and bits = ref 0 in
+  if p0 land 7 <> 0 then begin
+    hold := Char.code (Bytes.unsafe_get data !pos);
+    bits := 8 - (p0 land 7);
+    incr pos
+  end;
+  (* [finish] drops to [i] to leave the loop. *)
+  let i = ref at and finish = ref (at + count) in
+  while !i < !finish do
+    if !bits < max_code_length && !pos > last then finish := !i
+    else begin
+      if !bits < max_code_length then begin
+        let w = Bigstring.bswap64 (Bigstring.bytes_get64u data !pos) in
+        hold := (!hold lsl 48) lor Int64.to_int (Int64.shift_right_logical w 16);
+        pos := !pos + 6;
+        bits := !bits + 48
+      end;
+      let e = Array.unsafe_get table ((!hold lsr (!bits - root)) land root_mask) in
+      let e =
+        if e land 16 = 0 then e
+        else
+          let w = e land 15 in
+          Array.unsafe_get table
+            ((e lsr 5) + ((!hold lsr (!bits - root - w)) land ((1 lsl w) - 1)))
+      in
+      let len = e land 15 in
+      if len = 0 then finish := !i
+      else begin
+        bits := !bits - len;
+        let s = e lsr 5 in
+        Array.unsafe_set dst !i s;
+        incr i;
+        if s = stop then finish := !i
+      end
+    end
+  done;
+  r.pos <- (8 * !pos) - !bits;
+  if !i = at || dst.(!i - 1) <> stop then begin
+    finish := at + count;
+    while !i < !finish do
+      let s = read_symbol r d in
+      dst.(!i) <- s;
+      incr i;
+      if s = stop then finish := !i
+    done
+  end;
+  !i - at
+
 (* RFC 1951 sends a Huffman code most significant bit first in its
    LSB-first stream, so a writer takes each code bit-reversed. *)
 let lsb_codes lengths =
   Array.map
-    (fun { length; bits } -> (reverse bits length lsl 4) lor length)
+    (fun { length; bits } -> (Bitio.reverse bits length lsl 4) lor length)
     (canonical_codes lengths)
 
 type lsb_decoder = Lsb of decoder [@@unboxed]
 
 let lsb_decoder_of_lengths lengths = Lsb (table_of_lengths ~lsb:true lengths)
+
+let lsb_table (Lsb d) = d.table
+
+let lsb_root_bits (Lsb d) = d.max_len - d.sub_bits
 
 (* {!read_symbol}'s entries, so its errors too: the peek's zero padding
    past the end sits in its high bits, the bits a code has not reached. *)
@@ -422,12 +479,18 @@ let decode_result data =
   if n > Bitio.Reader.bits_remaining r then
     failwith "Huffman.decode: declared length exceeds what the input can encode";
   let d = decoder_of_lengths lengths in
-  (* Explicit in-order loop: [Bytes.init] does not guarantee application
-     order, and each symbol read advances the bit reader. *)
+  (* Symbols come in runs of up to 512 through an int scratch, small
+     beside the output; the table has 256 symbols, so each is a byte. *)
   let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    (* the table has 256 symbols *)
-    Bytes.unsafe_set out i (Char.unsafe_chr (read_symbol r d))
+  let run = Array.make (min n 512) 0 in
+  let i = ref 0 in
+  while !i < n do
+    let count = min 512 (n - !i) in
+    ignore (read_symbols r d run ~at:0 ~count ~stop:(-1));
+    for k = 0 to count - 1 do
+      Bytes.unsafe_set out (!i + k) (Char.unsafe_chr (Array.unsafe_get run k))
+    done;
+    i := !i + count
   done;
   out
 

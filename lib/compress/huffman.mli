@@ -47,6 +47,16 @@ val read_symbol : Bitio.Reader.t -> decoder -> int
     length in bits before failing.
     @raise Failure on a code not present in the table. *)
 
+val read_symbols :
+  Bitio.Reader.t -> decoder -> int array -> at:int -> count:int -> stop:int -> int
+(** [read_symbols r d dst ~at ~count ~stop] decodes up to [count]
+    symbols into [dst] from index [at], and stops early after storing
+    [stop]; it returns the number of symbols stored.  The symbols, the
+    bits consumed and every failure are those of as many {!read_symbol}
+    calls, which is what it falls back to within 8 bytes of the end of
+    the reader's slice and on a code the table lacks.
+    @raise Failure on a code not present in the table. *)
+
 (** {2 RFC 1951's LSB-first packing}
 
     A Huffman code still goes most significant bit first into a stream
@@ -64,6 +74,18 @@ type lsb_decoder
 val lsb_decoder_of_lengths : int array -> lsb_decoder
 (** As {!decoder_of_lengths}.  @raise Invalid_argument on a length above
     15. *)
+
+val lsb_table : lsb_decoder -> int array
+(** The decoder's table, for a loop that indexes it directly
+    ({!Deflate}'s inflate).  The root level is the first
+    {!lsb_root_bits} entries, indexed by that many stream bits, first
+    bit lowest.  An entry is 0 when no code starts with those bits,
+    [(symbol lsl 5) lor length] for a code of [length] (1..15) bits,
+    and [(offset lsl 5) lor 16 lor width] for a link to the
+    second-level table at [offset], indexed by the next [width] stream
+    bits. *)
+
+val lsb_root_bits : lsb_decoder -> int
 
 val read_symbol_lsb : Bitio.Lsb_reader.t -> lsb_decoder -> int
 (** {!read_symbol} over the LSB-first stream: the same symbols, bits

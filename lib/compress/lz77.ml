@@ -57,6 +57,9 @@ let big_slot_input = 1
 
 let window_mask = window_size - 1
 
+(* Below this many bytes a run resets only the hash heads it uses. *)
+let short_input = (hash_mask + 1) / 4
+
 (* Telemetry over the finished tokens: a single extra pass, run only
    when metrics are on, so the disabled path is untouched. *)
 let telemetry tokens n =
@@ -90,7 +93,9 @@ let telemetry tokens n =
    ([c + window_size], which would overwrite it, is at least [pos]);
    the walk never reads past the window, so the chains are those of a
    [prev] indexed by absolute position.  Every slot it reads was
-   written in this run, so only [head] is reset. *)
+   written in this run, so only [head] is reset: whole for a long
+   input, and for a short one only the heads its own positions hash
+   to, which are all the heads the run reads or writes. *)
 let tokenize_in arena ?(strategy = Greedy) ?(max_chain = 128) input =
   let n = Bytes.length input in
   let big = Arena.big arena ~slot:big_slot_input n in
@@ -100,7 +105,14 @@ let tokenize_in arena ?(strategy = Greedy) ?(max_chain = 128) input =
      bytes either way.  [big] serves the word-at-a-time probes. *)
   let byte i = Char.code (Bytes.unsafe_get input i) in
   let head = Arena.ints arena ~slot:slot_head (hash_mask + 1) in
-  Array.fill head 0 (hash_mask + 1) (-1);
+  if n >= short_input then Array.fill head 0 (hash_mask + 1) (-1)
+  else if n >= min_match then begin
+    let h = ref (update_hash (update_hash 0 (byte 0)) (byte 1)) in
+    for p = 0 to n - min_match do
+      h := update_hash !h (byte (p + 2));
+      Array.unsafe_set head !h (-1)
+    done
+  end;
   let prev = Arena.ints arena ~slot:slot_prev window_size in
   (* Every token covers at least one input byte. *)
   let tokens = Arena.ints arena ~slot:slot_tokens n in

@@ -1,3 +1,5 @@
+module Bigstring = Zipchannel_buf.Bigstring
+
 let eof_code = 256
 let first_code = 257
 let min_bits = 9
@@ -167,7 +169,11 @@ let compress_with_probes input =
    plain int so [kernel.lzw.htab_probes] reports exactly the same value
    as the recording path — one tick per table slot inspected. *)
 let slot_htab = 12
-let slot_codetab = 13
+let slot_written = 13
+let slot_clean = 14
+
+(* A run that writes at most this many [htab] slots resets just those. *)
+let record_max = htab_size / 8
 
 let compress input =
   Obs.with_span "lzw.compress"
@@ -179,51 +185,70 @@ let compress input =
   Bitio.Writer.add_bits_lsb w ~value:(n lsr 16) ~count:16;
   let probe_count = ref 0 in
   if n > 0 then begin
-    (* Both tables are the domain's arena slots, so a frame of any size
-       costs no 2 MiB of tables.  Only [htab] is reset: [codetab] is
-       read only behind an [htab] hit, which a run writes itself. *)
-    Zipchannel_buf.Arena.with_arena @@ fun arena ->
-    let htab = Zipchannel_buf.Arena.ints arena ~slot:slot_htab htab_size in
-    Array.fill htab 0 htab_size (-1);
-    let codetab = Zipchannel_buf.Arena.ints arena ~slot:slot_codetab htab_size in
-    let free_ent = ref first_code in
-    let n_bits = ref min_bits in
-    let ent = ref (Char.code (Bytes.get input 0)) in
-    let emit_width () =
-      if !free_ent > (1 lsl !n_bits) - 1 && !n_bits < max_bits then
-        incr n_bits;
-      !n_bits
-    in
-    for i = 1 to n - 1 do
-      let c = Char.code (Bytes.unsafe_get input i) in
-      let fc = (!ent lsl 8) lor c in
-      let hp = ref (hash ~c ~ent:!ent) in
-      let disp = if !hp = 0 then 1 else (htab_size - !hp) lor 1 in
-      let found = ref false and missing = ref false in
-      while (not !found) && not !missing do
-        incr probe_count;
-        let slot = Array.unsafe_get htab !hp in
-        if slot = fc then found := true
-        else if slot < 0 then missing := true
-        else begin
-          hp := !hp - disp;
-          if !hp < 0 then hp := !hp + htab_size
+    (* One table in the domain's arena, so a frame of any size costs no
+       table allocation: a used slot holds compress(1)'s [htab] and
+       [codetab] entries at once, [(fc lsl 17) lor code], so a hit
+       costs one load.  [htab] is left empty (all -1) after each run,
+       with [clean.(0)] set to 1: a run records the slots it writes and
+       resets just those, or the whole table when it wrote more than
+       [record_max].  A new arena's table (zeros) and one a run left
+       mid-way are filled whole first.  A probe sequence runs until an
+       empty slot, so the table cannot be reset before the run, as
+       [Lz77]'s heads are. *)
+    probe_count :=
+      Zipchannel_buf.Arena.with_arena @@ fun arena ->
+      let htab = Zipchannel_buf.Arena.ints arena ~slot:slot_htab htab_size in
+      let clean = Zipchannel_buf.Arena.ints arena ~slot:slot_clean 1 in
+      if clean.(0) <> 1 || htab.(0) <> -1 then Array.fill htab 0 htab_size (-1);
+      clean.(0) <- 0;
+      let written =
+        Zipchannel_buf.Arena.ints arena ~slot:slot_written (min n record_max)
+      in
+      let n_written = ref 0 and probes = ref 0 in
+      let free_ent = ref first_code and n_bits = ref min_bits in
+      let ent = ref (Char.code (Bytes.get input 0)) in
+      for i = 1 to n - 1 do
+        let c = Char.code (Bytes.unsafe_get input i) in
+        let fc = (!ent lsl 8) lor c in
+        let hp = ref (hash ~c ~ent:!ent) in
+        let disp = if !hp = 0 then 1 else (htab_size - !hp) lor 1 in
+        let found = ref false and missing = ref false in
+        while (not !found) && not !missing do
+          incr probes;
+          let slot = Array.unsafe_get htab !hp in
+          if slot lsr 17 = fc then begin
+            found := true;
+            ent := slot land 0x1ffff
+          end
+          else if slot < 0 then missing := true
+          else begin
+            hp := !hp - disp;
+            if !hp < 0 then hp := !hp + htab_size
+          end
+        done;
+        if not !found then begin
+          (* compress(1) bumps the width right before output. *)
+          if !free_ent > (1 lsl !n_bits) - 1 && !n_bits < max_bits then incr n_bits;
+          let code = !ent in
+          if !free_ent < code_limit then begin
+            Array.unsafe_set htab !hp ((fc lsl 17) lor !free_ent);
+            incr free_ent;
+            if !n_written < record_max then Array.unsafe_set written !n_written !hp;
+            incr n_written
+          end;
+          ent := c;
+          Bitio.Writer.add_bits_lsb w ~value:code ~count:!n_bits
         end
       done;
-      if !found then ent := Array.unsafe_get codetab !hp
-      else begin
-        let code = !ent and width = emit_width () in
-        if !free_ent < code_limit then begin
-          Array.unsafe_set htab !hp fc;
-          Array.unsafe_set codetab !hp !free_ent;
-          incr free_ent
-        end;
-        ent := c;
-        Bitio.Writer.add_bits_lsb w ~value:code ~count:width
-      end
-    done;
-    let width = emit_width () in
-    Bitio.Writer.add_bits_lsb w ~value:!ent ~count:width
+      if !free_ent > (1 lsl !n_bits) - 1 && !n_bits < max_bits then incr n_bits;
+      Bitio.Writer.add_bits_lsb w ~value:!ent ~count:!n_bits;
+      if !n_written <= record_max then
+        for k = 0 to !n_written - 1 do
+          Array.unsafe_set htab (Array.unsafe_get written k) (-1)
+        done
+      else Array.fill htab 0 htab_size (-1);
+      clean.(0) <- 1;
+      !probes
   end;
   let out = Bitio.Writer.to_bytes w in
   Obs.Metrics.add m_bytes_in n;
@@ -275,68 +300,130 @@ let decompress_result data =
     (* The output grows as it is written, up to the declared [n] and no
        further: the guard bounds [n] only quadratically in the input. *)
     let out = ref (Bytes.create (min n 65536)) and len = ref 0 in
-    (* A code >= 257 is its prefix code's string plus one byte:
-       [chain.(code)] holds the string's length above 16 bits and the
-       prefix code below, [suffix] the byte.  Codes < 256 are literals,
-       strings of length 1. *)
-    let chain = Array.make code_limit (1 lsl 16) in
-    let suffix = Bytes.create code_limit in
+    (* A code >= 257 stands for a string the output already holds: the
+       string of the code read before the one that made it, and the
+       first byte of that one, which lie side by side there.
+       [entry.(code)] holds where the string starts, above 17 bits, and
+       its length below, so a code is copied from the output as an LZ77
+       match is.  Codes < 256 are literals. *)
+    let entry = Array.make code_limit 0 in
     let free_ent = ref first_code in
     let n_bits = ref min_bits in
-    let maxcode () = (1 lsl !n_bits) - 1 in
-    let read_code () =
+    (* The code stream in a bit buffer held in local variables, so no
+       call per code.  [hold]'s low [bits] bits are the next stream
+       bits, first bit most significant (a code's bits go least
+       significant first, so each is bit-reversed by table); the bits
+       above them are consumed.  Below a code's width (at most 16),
+       the next 6 bytes of one big-endian 8-byte load top it up; within
+       8 bytes of the end it is topped up a byte at a time, and a code
+       the bytes left cannot fill is the reader's [Out_of_bits], with
+       the reader at the end, as reading bit by bit gave.  The reader
+       position is stored back before each error. *)
+    let src = r.data and limit = r.limit lsr 3 in
+    let last = limit - 8 in
+    let p0 = r.pos in
+    let pos = ref (p0 lsr 3) and hold = ref 0 and bits = ref 0 in
+    if p0 land 7 <> 0 then begin
+      hold := Char.code (Bytes.unsafe_get src !pos);
+      bits := 8 - (p0 land 7);
+      incr pos
+    end;
+    (* The length of the last code's string, which ends at [len]; 0
+       before the first code. *)
+    let prev_len = ref 0 in
+    while !len < n do
       (* The decoder's dictionary is one entry behind the encoder's at
          every read, hence the +1 in the width check. *)
-      if !free_ent + 1 > maxcode () && !n_bits < max_bits then incr n_bits;
-      Bitio.Reader.read_bits_lsb r !n_bits
-    in
-    (* Writes a known code's string ending just before [stop], last byte
-       first, down the prefix chain. *)
-    let write code ~stop =
-      let buf = !out and c = ref code and k = ref (stop - 1) in
-      while !c > 255 do
-        Bytes.unsafe_set buf !k (Bytes.unsafe_get suffix !c);
-        c := Array.unsafe_get chain !c land 0xffff;
-        decr k
-      done;
-      Bytes.unsafe_set buf !k (Char.unsafe_chr !c)
-    in
-    let code0 = read_code () in
-    if code0 > 255 then failwith "Lzw.decompress: bad first code";
-    Bytes.set !out 0 (Char.chr code0);
-    len := 1;
-    let prev = ref code0 in
-    while !len < n do
-      let code = read_code () in
-      (* KwKwK: the code the encoder has just made is prev's string plus
-         that string's own first byte. *)
-      let kwkwk = code = !free_ent && !free_ent < code_limit in
-      let prev_len = chain.(!prev) lsr 16 in
-      let l =
-        if kwkwk then prev_len + 1
-        else if code >= 0 && code < 256 then 1
-        else if code >= first_code && code < !free_ent then chain.(code) lsr 16
-        else failwith "Lzw.decompress: bad code"
+      if !free_ent + 1 > (1 lsl !n_bits) - 1 && !n_bits < max_bits then
+        incr n_bits;
+      let width = !n_bits in
+      if !bits < width then
+        if !pos <= last then begin
+          let w = Bigstring.bswap64 (Bigstring.bytes_get64u src !pos) in
+          hold := (!hold lsl 48) lor Int64.to_int (Int64.shift_right_logical w 16);
+          pos := !pos + 6;
+          bits := !bits + 48
+        end
+        else begin
+          while !bits <= 55 && !pos < limit do
+            hold := (!hold lsl 8) lor Char.code (Bytes.unsafe_get src !pos);
+            incr pos;
+            bits := !bits + 8
+          done;
+          if !bits < width then begin
+            r.pos <- r.limit;
+            raise Bitio.Reader.Out_of_bits
+          end
+        end;
+      let m = (!hold lsr (!bits - width)) land ((1 lsl width) - 1) in
+      bits := !bits - width;
+      let code =
+        ((Char.code (String.unsafe_get Bitio.rev8 (m land 0xff)) lsl 8)
+        lor Char.code (String.unsafe_get Bitio.rev8 (m lsr 8)))
+        lsr (16 - width)
       in
-      (* A string that runs past [n] could only end in this error. *)
-      if l > n - !len then failwith "Lzw.decompress: length mismatch";
-      if !len + l > Bytes.length !out then begin
-        let grown = Bytes.create (min n (max (!len + l) (2 * Bytes.length !out))) in
-        Bytes.blit !out 0 grown 0 !len;
-        out := grown
-      end;
-      if kwkwk then begin
-        write !prev ~stop:(!len + prev_len);
-        Bytes.set !out (!len + prev_len) (Bytes.get !out !len)
+      if !prev_len = 0 then begin
+        if code > 255 then begin
+          r.pos <- (8 * !pos) - !bits;
+          failwith "Lzw.decompress: bad first code"
+        end;
+        Bytes.set !out 0 (Char.chr code);
+        len := 1;
+        prev_len := 1
       end
-      else write code ~stop:(!len + l);
-      if !free_ent < code_limit then begin
-        chain.(!free_ent) <- ((prev_len + 1) lsl 16) lor !prev;
-        Bytes.set suffix !free_ent (Bytes.get !out !len);
-        incr free_ent
-      end;
-      prev := code;
-      len := !len + l
+      else begin
+        (* KwKwK: the code the encoder has just made is the last
+           string plus that string's own first byte. *)
+        let kwkwk = code = !free_ent && !free_ent < code_limit in
+        let l =
+          if kwkwk then !prev_len + 1
+          else if code < 256 then 1
+          else if code >= first_code && code < !free_ent then
+            Array.unsafe_get entry code land 0x1ffff
+          else begin
+            r.pos <- (8 * !pos) - !bits;
+            failwith "Lzw.decompress: bad code"
+          end
+        in
+        (* A string that runs past [n] could only end in this error. *)
+        if l > n - !len then begin
+          r.pos <- (8 * !pos) - !bits;
+          failwith "Lzw.decompress: length mismatch"
+        end;
+        if !len + l > Bytes.length !out then begin
+          let grown = Bytes.create (min n (max (!len + l) (2 * Bytes.length !out))) in
+          Bytes.blit !out 0 grown 0 !len;
+          out := grown
+        end;
+        let buf = !out and dst = !len in
+        if code < 256 then Bytes.unsafe_set buf dst (Char.unsafe_chr code)
+        else begin
+          (* The source ends at or before [dst], so an 8-byte step
+             never reads a byte this copy writes; it may write up to 7
+             bytes past the string, which later codes overwrite. *)
+          let from = if kwkwk then dst - !prev_len else Array.unsafe_get entry code lsr 17
+          and count = if kwkwk then !prev_len else l in
+          if dst + count + 8 <= Bytes.length buf then begin
+            let k = ref 0 in
+            while !k < count do
+              Bigstring.bytes_set64u buf (dst + !k)
+                (Bigstring.bytes_get64u buf (from + !k));
+              k := !k + 8
+            done
+          end
+          else
+            for k = 0 to count - 1 do
+              Bytes.unsafe_set buf (dst + k) (Bytes.unsafe_get buf (from + k))
+            done;
+          if kwkwk then Bytes.unsafe_set buf (dst + count) (Bytes.unsafe_get buf dst)
+        end;
+        if !free_ent < code_limit then begin
+          Array.unsafe_set entry !free_ent (((dst - !prev_len) lsl 17) lor (!prev_len + 1));
+          incr free_ent
+        end;
+        prev_len := l;
+        len := dst + l
+      end
     done;
     !out
   end

@@ -41,6 +41,8 @@ external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 
 external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 let () =
   (* The first-mismatch scan reads words and locates the differing byte
      from the low end; that is only the *first* byte in memory order on a

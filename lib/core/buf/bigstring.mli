@@ -42,6 +42,11 @@ external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 
 external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+external bswap64 : int64 -> int64 = "%bswap_int64"
+(** The word's bytes in reverse order: a 64-bit load read as
+    big-endian, first byte in memory most significant, for the
+    MSB-first bit readers. *)
+
 val blit_of_bytes : bytes -> src_off:int -> t -> dst_off:int -> len:int -> unit
 (** Word-at-a-time copy from [bytes]; bounds-checked once up front. *)
 

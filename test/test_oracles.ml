@@ -323,6 +323,58 @@ let qcheck_decode_table =
       let got', want' = lsb () in
       got = want && got' = want')
 
+(* [Huffman.read_symbols] against the bit-serial decoder: runs of
+   [run] symbols that end early at [stop] give the oracle's symbols in
+   order, its reader position after each run, and its failure and
+   final position.  Streams up to 200 bytes reach the register loop,
+   which stops 8 bytes before the end of the slice. *)
+let qcheck_symbol_runs =
+  QCheck.Test.make ~name:"symbol runs = bit-serial decoder" ~count:1000
+    QCheck.(
+      triple (make lengths_gen)
+        (string_of_size Gen.(0 -- 200))
+        (triple (int_bound 8) (int_bound 8) (pair (int_range 1 60) (int_bound 300))))
+    (fun (lengths, s, (cut_front, cut_back, (run, stop))) ->
+      let b = Bytes.of_string s in
+      let start = min cut_front (Bytes.length b) in
+      let len = max 0 (Bytes.length b - start - cut_back) in
+      let table = Huffman.decoder_of_lengths lengths in
+      let oracle = Oracles.Huffman_ref.decoder_of_lengths lengths in
+      let r' = Bitio.Reader.create ~start ~len b in
+      let want =
+        trace
+          ~read:(fun () ->
+            Oracles.Huffman_ref.read_symbol_bits
+              (fun () -> Bitio.Reader.read_bit r')
+              oracle)
+          ~remaining:(fun () -> Bitio.Reader.bits_remaining r')
+      in
+      (* The oracle's trace as whole runs, each ending after [run]
+         symbols or after [stop], with the position kept only where a
+         run ends; a run that fails returns none of its symbols. *)
+      let rec at_run_ends pending = function
+        | Sym (s, rem) :: rest ->
+            if List.length pending + 1 = run || s = stop then
+              List.rev (Sym (s, rem) :: pending) @ at_run_ends [] rest
+            else at_run_ends (Sym (s, -1) :: pending) rest
+        | last -> last
+      in
+      let r = Bitio.Reader.create ~start ~len b in
+      let dst = Array.make run 0 in
+      let rec go acc =
+        match Huffman.read_symbols r table dst ~at:0 ~count:run ~stop with
+        | got ->
+            let rem = Bitio.Reader.bits_remaining r in
+            go
+              (List.rev_append
+                 (List.init got (fun k -> Sym (dst.(k), if k = got - 1 then rem else -1)))
+                 acc)
+        | exception Failure m -> List.rev (Fail (m, Bitio.Reader.bits_remaining r) :: acc)
+        | exception Bitio.Reader.Out_of_bits ->
+            List.rev (Out_of_bits (Bitio.Reader.bits_remaining r) :: acc)
+      in
+      go [] = at_run_ends [] want)
+
 (* ------------------------------------------------------------------ *)
 (* MTF vs the int-array recency list *)
 
@@ -366,4 +418,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_mtf_encode;
       QCheck_alcotest.to_alcotest qcheck_mtf_decode;
       QCheck_alcotest.to_alcotest qcheck_decode_table;
+      QCheck_alcotest.to_alcotest qcheck_symbol_runs;
     ] )

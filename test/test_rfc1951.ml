@@ -222,6 +222,35 @@ let qcheck_decode_tokens =
       | Error e, Error e' -> e = e'
       | _ -> false)
 
+(* The register-buffer inflate loop against [decode_tokens], which
+   decodes every token with [read_token], the loop's own tail: on
+   valid, truncated and bit-flipped streams long enough for the loop to
+   run, the same bytes or the same error (codec, offset and reason). *)
+let qcheck_inflate_loop =
+  QCheck.Test.make ~name:"inflate loop = token-at-a-time inflate" ~count:300
+    QCheck.(
+      triple
+        (string_gen_of_size Gen.(0 -- 3000) (Gen.oneofl [ 'a'; 'b'; 'c'; 'd'; ' ' ]))
+        (oneofl [ Deflate.Dynamic; Deflate.Fixed; Deflate.Stored ])
+        (pair (int_bound 2) (pair (int_bound 1_000_000) (int_bound 1_000_000))))
+    (fun (s, kind, (mutation, (at, bit))) ->
+      let packed = Deflate.compress ~kind (Bytes.of_string s) in
+      let n = Bytes.length packed in
+      let input =
+        match mutation with
+        | 0 -> packed
+        | 1 -> Bytes.sub packed 0 (at mod n)
+        | _ ->
+            let b = Bytes.copy packed and k = bit mod (8 * n) in
+            Bytes.set b (k / 8)
+              (Char.chr (Char.code (Bytes.get b (k / 8)) lxor (1 lsl (k mod 8))));
+            b
+      in
+      match (Deflate.decode_tokens_result input, Deflate.decompress_result input) with
+      | Ok t, Ok out -> Bytes.equal (Oracles.detokenize (Array.of_list t)) out
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+
 let suite =
   ( "rfc1951",
     [
@@ -243,4 +272,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_gzip;
       QCheck_alcotest.to_alcotest qcheck_inflate_robust;
       QCheck_alcotest.to_alcotest qcheck_decode_tokens;
+      QCheck_alcotest.to_alcotest qcheck_inflate_loop;
     ] )
