@@ -4,7 +4,7 @@
 open Cmdliner
 module Obs = Zipchannel.Obs
 
-let setup metrics trace trace_otlp progress =
+let setup metrics trace progress =
   (match metrics with
   | None -> ()
   | Some dest ->
@@ -17,52 +17,15 @@ let setup metrics trace trace_otlp progress =
           | path ->
               Zipchannel.Obs_export.Sink.atomic_write ~path
                 (Obs.Metrics.snapshot_to_json snap ^ "\n")));
-  (* --trace and --trace-otlp compose: with both, one Custom sink feeds
-     the OTLP collector and tees the --trace output per event. *)
-  (match (trace, trace_otlp) with
-  | None, None -> ()
-  | Some "-", None -> Obs.Trace.set_sink Obs.Trace.Stderr
-  | Some path, None ->
+  (match trace with
+  | None -> ()
+  | Some "-" -> Obs.Trace.set_sink (Obs.Trace.Jsonl stderr)
+  | Some path ->
       let oc = open_out path in
       Obs.Trace.set_sink (Obs.Trace.Jsonl oc);
       at_exit (fun () ->
           Obs.Trace.set_sink Obs.Trace.Null;
-          close_out oc)
-  | trace, Some otlp_path ->
-      let sink, drain = Zipchannel.Obs_export.Otlp.collector () in
-      let collect =
-        match sink with Obs.Trace.Custom f -> f | _ -> fun _ -> ()
-      in
-      let tee, close_tee =
-        match trace with
-        | None -> ((fun _ -> ()), fun () -> ())
-        | Some "-" ->
-            ( (fun ev ->
-                match Obs.Trace.stderr_line_of_event ev with
-                | Some line ->
-                    output_string stderr line;
-                    output_char stderr '\n';
-                    flush stderr
-                | None -> ()),
-              fun () -> () )
-        | Some path ->
-            let oc = open_out path in
-            ( (fun ev ->
-                output_string oc (Obs.Trace.jsonl_of_event ev);
-                output_char oc '\n';
-                flush oc),
-              fun () -> close_out oc )
-      in
-      Obs.Trace.set_sink
-        (Obs.Trace.Custom
-           (fun ev ->
-             collect ev;
-             tee ev));
-      at_exit (fun () ->
-          Obs.Trace.set_sink Obs.Trace.Null;
-          close_tee ();
-          Zipchannel.Obs_export.Sink.atomic_write ~path:otlp_path
-            (Zipchannel.Obs_export.Json.to_string (drain ()) ^ "\n")));
+          close_out oc));
   if progress then begin
     Obs.Progress.set_enabled true;
     (* ANSI line rewriting only on an interactive stderr that hasn't
@@ -94,18 +57,10 @@ let flags =
   let trace =
     let doc =
       "Emit a span trace: one JSON object per span begin/end event to \
-       $(docv), or human-readable lines to stderr with $(b,-)."
+       $(docv) ($(b,-) for stderr).  $(b,zc obs export) and $(b,zc obs \
+       profile) convert it."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH" ~doc)
-  in
-  let trace_otlp =
-    let doc =
-      "Collect the span trace in memory and write it as an OTLP/JSON \
-       ExportTraceServiceRequest to $(docv) on exit.  Composes with \
-       $(b,--trace): both outputs are written."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "trace-otlp" ] ~docv:"PATH" ~doc)
   in
   let progress =
     Arg.(
@@ -113,7 +68,7 @@ let flags =
       & info [ "progress" ]
           ~doc:"Print periodic one-line progress reports to stderr.")
   in
-  Term.(const setup $ metrics $ trace $ trace_otlp $ progress)
+  Term.(const setup $ metrics $ trace $ progress)
 
 let jobs_conv =
   let parse s =

@@ -245,8 +245,10 @@ let adjust_active d =
   Mutex.unlock active_mu
 
 (* Admission control: the acceptor takes the slot (or refuses) before
-   the handler thread exists, so the thread count is bounded by
-   [max_conns] rather than by how fast clients can connect. *)
+   the data handler thread exists, so at most [max_conns] data handlers
+   run however fast clients connect.  It bounds nothing else: each
+   refused connection and each metrics connection gets a thread of its
+   own. *)
 let try_acquire ~max_conns =
   Mutex.lock active_mu;
   let ok = !active < max_conns in
@@ -444,6 +446,24 @@ let handle_metrics_conn fd =
 
 let stop = ref false
 
+(* Handler threads of every kind are counted, not kept: each one
+   decrements [live] as it exits, and shutdown waits for zero. *)
+let live = ref 0
+let live_mu = Mutex.create ()
+let none_live = Condition.create ()
+
+let spawn f x =
+  Mutex.lock live_mu;
+  incr live;
+  Mutex.unlock live_mu;
+  let finally () =
+    Mutex.lock live_mu;
+    decr live;
+    if !live = 0 then Condition.broadcast none_live;
+    Mutex.unlock live_mu
+  in
+  ignore (Thread.create (fun x -> Fun.protect ~finally (fun () -> f x)) x)
+
 let listener port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -466,8 +486,7 @@ let serve ?(max_conns = 64) ?audit ~port ~metrics_port ~jobs () =
            shutdown, so a crash mid-stream never leaves a truncated
            file at the published path. *)
         let oc, commit = Zipchannel.Obs_export.Sink.open_atomic ~path in
-        Leak_audit.set_enabled true;
-        Leak_audit.set_sink (Leak_audit.Jsonl oc);
+        Leak_audit.set_sink (Some oc);
         Some commit
   in
   stop := false;
@@ -480,8 +499,6 @@ let serve ?(max_conns = 64) ?audit ~port ~metrics_port ~jobs () =
   let metrics_sock = listener metrics_port in
   Printf.printf "zc serve: data on 127.0.0.1:%d, metrics on 127.0.0.1:%d\n%!"
     port metrics_port;
-  let threads = ref [] in
-  let spawn f x = threads := Thread.create f x :: !threads in
   while not !stop do
     match Unix.select [ data_sock; metrics_sock ] [] [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -527,12 +544,16 @@ let serve ?(max_conns = 64) ?audit ~port ~metrics_port ~jobs () =
   done;
   (try Unix.close data_sock with Unix.Unix_error _ -> ());
   (try Unix.close metrics_sock with Unix.Unix_error _ -> ());
-  List.iter Thread.join !threads;
+  Mutex.lock live_mu;
+  while !live > 0 do
+    Condition.wait none_live live_mu
+  done;
+  Mutex.unlock live_mu;
   Obs_prof.stop ();
   (match audit_commit with
   | Some commit ->
       Leak_audit.publish_estimate ();
-      Leak_audit.set_sink Leak_audit.Null;
+      Leak_audit.set_sink None;
       commit ()
   | None -> ());
   Printf.printf "zc serve: %d connection(s) served, shutting down\n%!"

@@ -161,15 +161,15 @@ let prefix buf len = if Bytes.length buf = len then buf else Bytes.sub buf 0 len
 (* ------------------------------------------------------------------ *)
 (* Pipelined streaming over read/write callbacks *)
 
-let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
-    ~codec ~read ~write () =
+let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ~codec ~read
+    ~write () =
   if frame_size < 1 || frame_size > max_frame_size then
     invalid_arg "Frame.compress_stream: frame_size out of range";
   let hdr = Bytes.create header_len in
   render_header ~codec hdr;
   write hdr ~off:0 ~len:header_len;
   (* One staging buffer per frame the pipeline can hold in flight. *)
-  let slots = Pipeline.capacity ~jobs ?capacity () in
+  let slots = Pipeline.capacity ~jobs () in
   let chunks = Array.init slots (fun _ -> ref Bytes.empty) in
   let crc = ref Checksum.Crc32.init in
   let total = ref 0 in
@@ -178,7 +178,7 @@ let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
      workers time their compress call and thread it through the result
      tuple, and [consume] — which the pipeline runs strictly in
      production order on the caller's domain — emits the records, so
-     merged audit sequences are identical at any [jobs]. *)
+     the sink receives them in sequence order at any [jobs]. *)
   let audit =
     if Leak_audit.enabled () then
       Some (Leak_audit.Stream.create ~codec:(codec_name codec) ())
@@ -236,7 +236,7 @@ let compress_stream ?(frame_size = default_frame_size) ?(jobs = 1) ?capacity
   | None -> ());
   write tr ~off:0 ~len:trailer_len
 
-let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
+let decompress_stream ?(jobs = 1) ~read ~write () =
   let fail ~offset reason = Codec_error.fail ~codec:"frame" ~offset reason in
   let consumed = ref 0 in
   (* Stage exactly the [len] bytes of the next wire unit; a short read
@@ -259,7 +259,7 @@ let decompress_stream ?(jobs = 1) ?capacity ~read ~write () =
     if Bytes.get hdr 5 <> '\000' || Bytes.get hdr 6 <> '\000'
        || Bytes.get hdr 7 <> '\000'
     then fail ~offset:!consumed "nonzero reserved header bytes";
-    let slots = Pipeline.capacity ~jobs ?capacity () in
+    let slots = Pipeline.capacity ~jobs () in
     let chunks = Array.init slots (fun _ -> ref Bytes.empty) in
     let crc = ref Checksum.Crc32.init in
     let total = ref 0 in

@@ -45,7 +45,6 @@ val max_frame_clen : int
 val compress_stream :
   ?frame_size:int ->
   ?jobs:int ->
-  ?capacity:int ->
   codec:codec ->
   read:(bytes -> int -> int -> int) ->
   write:(bytes -> off:int -> len:int -> unit) ->
@@ -56,12 +55,12 @@ val compress_stream :
     of input) and pushes the frame stream through [write].  With
     [jobs > 1], frames are compressed through
     {!Zipchannel_parallel.Pipeline} on the calling domain and the
-    process-wide pool's parked workers, with at most [capacity] frames
-    in flight ({!Zipchannel_parallel.Pipeline.capacity}: default
-    [2 * jobs]); output is byte-identical to [jobs = 1].  [jobs] counts
-    the calling domain and is clamped to the machine's recommended
-    domain count — oversubscribed domains only add GC rendezvous — which
-    never changes the output, only the wall time.
+    process-wide pool's parked workers, with at most [2 * jobs] frames
+    in flight ({!Zipchannel_parallel.Pipeline.capacity}); output is
+    byte-identical to [jobs = 1].  [jobs] counts the calling domain and
+    is clamped to the machine's recommended domain count —
+    oversubscribed domains only add GC rendezvous — which never changes
+    the output, only the wall time.
 
     Each frame's plaintext is staged in a buffer that is reused for
     later frames and grows only as [read] delivers bytes: it starts at
@@ -82,7 +81,6 @@ val compress_stream :
 
 val decompress_stream :
   ?jobs:int ->
-  ?capacity:int ->
   read:(bytes -> int -> int -> int) ->
   write:(bytes -> off:int -> len:int -> unit) ->
   unit ->

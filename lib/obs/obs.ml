@@ -426,11 +426,7 @@ module Trace = struct
     attrs : (string * string) list;
   }
 
-  type sink =
-    | Null
-    | Stderr
-    | Jsonl of out_channel
-    | Custom of (span_event -> unit)
+  type sink = Null | Jsonl of out_channel | Custom of (span_event -> unit)
 
   (* The sink is read on every with_span; boxed in an atomic so domains
      see a consistent value.  Writes to the sink itself are serialised
@@ -440,7 +436,6 @@ module Trace = struct
 
   let set_sink s = Atomic.set current s
   let sink () = Atomic.get current
-  let active () = match Atomic.get current with Null -> false | _ -> true
 
   let attrs_json = function
     | [] -> ""
@@ -468,29 +463,9 @@ module Trace = struct
          \"ts_ns\": %d, \"dur_ns\": %d%s}"
         (json_escape ev.name)
         ev.domain ev.depth ev.ts_ns ev.dur_ns (attrs_json ev.attrs)
-
-  let stderr_line_of_event ev =
-    match ev.phase with
-    | `Begin -> None
-    | `End ->
-      let attrs_s =
-        match ev.attrs with
-        | [] -> ""
-        | attrs ->
-          " ["
-          ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs)
-          ^ "]"
-      in
-      Some
-        (Printf.sprintf "span %s%s%s %.3fms (domain %d)"
-           (String.make (2 * ev.depth) ' ')
-           ev.name attrs_s
-           (float_of_int ev.dur_ns /. 1e6)
-           ev.domain)
 end
 
-(* Per-domain span nesting depth, used both for JSONL nesting checks and
-   stderr indentation. *)
+(* Per-domain span nesting depth, carried by every event. *)
 let span_depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let emit_line oc line =
@@ -527,7 +502,7 @@ let with_span ?(attrs = []) name f =
     (match sink with
     | Jsonl oc -> emit_line oc (Trace.jsonl_of_event (event `Begin t0 0))
     | Custom cb -> emit_custom cb (event `Begin t0 0)
-    | _ -> ());
+    | Null -> ());
     let finish () =
       let dur = now_ns () - t0 in
       depth := d;
@@ -536,10 +511,6 @@ let with_span ?(attrs = []) name f =
       | Jsonl oc ->
         emit_line oc (Trace.jsonl_of_event (event `End (now_ns ()) dur))
       | Custom cb -> emit_custom cb (event `End (now_ns ()) dur)
-      | Stderr -> (
-        match Trace.stderr_line_of_event (event `End (now_ns ()) dur) with
-        | Some line -> emit_line stderr line
-        | None -> ())
       | Null -> ()
     in
     Fun.protect ~finally:finish f

@@ -28,7 +28,7 @@ val now_ns : unit -> int
 
 module Slot : sig
   (** Dense per-domain slot ids: the one sharding primitive behind the
-      metric shards, the {!Prof} path slots and the leak-audit rings.
+      metric shards and the {!Prof} path slots.
 
       A domain takes the lowest free of {!count} slots the first time it
       asks (one CAS on a bitmask, at DLS initialisation) and frees it in
@@ -36,9 +36,9 @@ module Slot : sig
       most {!count} of them hold one, however large their ids grow.
 
       While all {!count} slots are held, a further domain falls back to [domain id mod count] and shares that slot for its
-      lifetime.  Metric adds stay exact (each shard is an atomic) and
-      ring pushes stay locked, but its published span path can
-      overwrite the owner's, so the sampler may misattribute samples. *)
+      lifetime.  Metric adds stay exact (each shard is an atomic), but
+      its published span path can overwrite the owner's, so the sampler
+      may misattribute samples. *)
 
   val count : int
   (** 16. *)
@@ -174,26 +174,21 @@ module Trace : sig
 
   type sink =
     | Null  (** discard spans (the default) *)
-    | Stderr  (** one indented human-readable line per completed span *)
     | Jsonl of out_channel  (** one JSON object per span begin/end event *)
     | Custom of (span_event -> unit)
         (** deliver each event to a callback (serialised under the
             emission lock, so collecting sinks need no locking of their
-            own; the callback must not call {!with_span}).  This is how
-            {!Zipchannel_obs_export}'s OTLP sink attaches without a
-            dependency cycle. *)
+            own; the callback must not call {!with_span}).  In-process
+            consumers — tests and the benchsuite's traced window — read
+            spans this way; every file format is converted offline from
+            the JSONL stream ([zc obs]). *)
 
   val set_sink : sink -> unit
   val sink : unit -> sink
-  val active : unit -> bool
 
   val jsonl_of_event : span_event -> string
   (** The exact JSONL line the [Jsonl] sink writes for this event (no
-      trailing newline) — lets a [Custom] sink tee the JSONL stream. *)
-
-  val stderr_line_of_event : span_event -> string option
-  (** The human-readable line the [Stderr] sink prints — [Some] on end
-      events, [None] on begin events. *)
+      trailing newline). *)
 end
 
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a

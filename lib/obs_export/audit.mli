@@ -1,6 +1,6 @@
 (** Reader and OTLP mapper for leak-audit JSONL files — the [--audit]
-    output of [zc serve] and any {!Zipchannel_obs_leak.Leak_audit.Jsonl}
-    sink.
+    output of [zc serve] and whatever else
+    {!Zipchannel_obs_leak.Leak_audit.set_sink} was given.
 
     An audit file is a JSONL stream of two record shapes, distinguished
     by the ["t"] member: [{"t": "frame", ...}] per emitted frame and

@@ -1,5 +1,4 @@
-module Obs = Zipchannel_obs.Obs
-module Metrics = Obs.Metrics
+module Metrics = Zipchannel_obs.Obs.Metrics
 
 (* OTLP/JSON as specified by the OpenTelemetry protocol's canonical JSON
    encoding: 64-bit integers (timestamps, counts, asInt) are strings,
@@ -217,11 +216,3 @@ let trace_request events =
               ];
           ] );
     ]
-
-(* -- live collection --------------------------------------------------- *)
-
-let collector () =
-  let events = ref [] in
-  let sink = Obs.Trace.Custom (fun ev -> events := ev :: !events) in
-  let drain () = trace_request (List.rev !events) in
-  (sink, drain)

@@ -18,10 +18,3 @@ val metrics_request :
 val trace_request : Zipchannel_obs.Obs.Trace.span_event list -> Json.t
 (** Spans get ids from begin-event order ([%016x]); the trace id is an
     FNV-1a hash of the stream's names and timestamps. *)
-
-val collector :
-  unit -> Zipchannel_obs.Obs.Trace.sink * (unit -> Json.t)
-(** [collector ()] is a [(sink, drain)] pair: install the sink with
-    {!Zipchannel_obs.Obs.Trace.set_sink} to accumulate span events
-    in memory, then call [drain] — after tracing is disabled — to get
-    the OTLP trace request for everything collected. *)

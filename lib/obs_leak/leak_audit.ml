@@ -3,23 +3,17 @@
    Everything here is side-band by construction: recording reads frame
    metadata (lengths, tags, wall time) and never touches payload bytes,
    so compressed output is byte-identical with auditing on or off.  The
-   fast path mirrors Obs: one atomic load and a branch per frame while
-   disabled.
+   sink is the switch: a stream loads it once, at creation, and an
+   unaudited stream does no more.
 
-   Concurrency: records are appended to per-domain ring shards (shard =
-   the domain's [Obs.Slot], each behind its own mutex, so the daemon's
-   thread-per-connection model — many threads, one domain — is also
-   safe).  Sink emission and the estimators take their own locks.  The
-   per-stream rolling state is unsynchronised on purpose: a stream's
-   frames are recorded by exactly one domain at a time (the frame
-   pipeline's in-order consumer), which is also what keeps merged
-   record sequences identical at any [jobs]. *)
+   Concurrency: sink writes and the estimators take their own locks, so
+   the daemon's thread-per-connection model (many threads, one domain)
+   is safe.  The per-stream rolling state is unsynchronised on purpose:
+   a stream's frames are recorded by exactly one domain at a time (the
+   frame pipeline's in-order consumer), which is also what keeps each
+   stream's records in sequence order at any [jobs]. *)
 
 module Obs = Zipchannel_obs.Obs
-
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
 
 (* ------------------------------------------------------------------ *)
 (* Records *)
@@ -65,110 +59,20 @@ let prefix_bucket ?(n = n_prefix_buckets) b ~len =
 (* ------------------------------------------------------------------ *)
 (* Sink *)
 
-type sink = Null | Jsonl of out_channel | Custom of (record -> unit)
-
-let current_sink : sink Atomic.t = Atomic.make Null
+let current_sink : out_channel option Atomic.t = Atomic.make None
 let sink_lock = Mutex.create ()
 let set_sink s = Atomic.set current_sink s
-let sink () = Atomic.get current_sink
+let enabled () = Option.is_some (Atomic.get current_sink)
 
-let emit_to_sink r =
+let write_line line =
   match Atomic.get current_sink with
-  | Null -> ()
-  | Jsonl oc ->
+  | None -> ()
+  | Some oc ->
       Mutex.lock sink_lock;
-      output_string oc (jsonl_of_record r);
+      output_string oc line;
       output_char oc '\n';
       flush oc;
       Mutex.unlock sink_lock
-  | Custom f ->
-      Mutex.lock sink_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock sink_lock) (fun () -> f r)
-
-(* ------------------------------------------------------------------ *)
-(* Bounded per-domain rings *)
-
-type shard = {
-  mu : Mutex.t;
-  mutable slots : record option array;
-  mutable next : int;  (* next write position *)
-  mutable stored : int;  (* live records, <= capacity *)
-  mutable evicted : int;
-}
-
-let default_ring_capacity = 1024
-
-let shards =
-  Array.init Obs.Slot.count (fun _ ->
-      {
-        mu = Mutex.create ();
-        slots = Array.make default_ring_capacity None;
-        next = 0;
-        stored = 0;
-        evicted = 0;
-      })
-
-let set_ring_capacity n =
-  if n < 1 then invalid_arg "Leak_audit.set_ring_capacity";
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      s.slots <- Array.make n None;
-      s.next <- 0;
-      s.stored <- 0;
-      s.evicted <- 0;
-      Mutex.unlock s.mu)
-    shards
-
-let ring_clear () =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      Array.fill s.slots 0 (Array.length s.slots) None;
-      s.next <- 0;
-      s.stored <- 0;
-      s.evicted <- 0;
-      Mutex.unlock s.mu)
-    shards
-
-let ring_push r =
-  let s = shards.(Obs.Slot.get ()) in
-  Mutex.lock s.mu;
-  let cap = Array.length s.slots in
-  if s.slots.(s.next) <> None then s.evicted <- s.evicted + 1
-  else s.stored <- s.stored + 1;
-  s.slots.(s.next) <- Some r;
-  s.next <- (s.next + 1) mod cap;
-  Mutex.unlock s.mu
-
-let evicted () =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.mu;
-      let e = s.evicted in
-      Mutex.unlock s.mu;
-      acc + e)
-    0 shards
-
-let tag_rank = function Data -> 0 | Trailer -> 1
-
-let ring_records () =
-  let all = ref [] in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      Array.iter (function Some r -> all := r :: !all | None -> ()) s.slots;
-      Mutex.unlock s.mu)
-    shards;
-  List.sort
-    (fun a b ->
-      match compare a.stream b.stream with
-      | 0 -> (
-          match compare a.seq b.seq with
-          | 0 -> compare (tag_rank a.tag) (tag_rank b.tag)
-          | c -> c)
-      | c -> c)
-    !all
 
 (* ------------------------------------------------------------------ *)
 (* Obs metrics (registered once; recording additionally gated on Obs) *)
@@ -422,8 +326,7 @@ module Stream = struct
         ts_ns = Obs.now_ns ();
       }
     in
-    ring_push r;
-    emit_to_sink r;
+    write_line (jsonl_of_record r);
     if tag = Data then Obs.Metrics.incr m_frames;
     if tag <> Trailer && ulen > 0 then begin
       Obs.Metrics.observe m_delta_abs (abs delta);
@@ -466,15 +369,8 @@ let jsonl_of_request r =
     (Obs.json_escape r.status)
 
 let record_request r =
-  if Atomic.get enabled_flag then begin
-    (match Atomic.get current_sink with
-    | Null | Custom _ -> ()
-    | Jsonl oc ->
-        Mutex.lock sink_lock;
-        output_string oc (jsonl_of_request r);
-        output_char oc '\n';
-        flush oc;
-        Mutex.unlock sink_lock);
+  if enabled () then begin
+    write_line (jsonl_of_request r);
     Obs.Metrics.incr m_requests;
     Obs.Metrics.observe m_request_frames r.frames;
     publish_estimate ()

@@ -6,21 +6,25 @@
     {!Zipchannel_obs.Obs} measures {e performance};
     this module measures {e leakage}: one structured {!record} per
     emitted frame (lengths, length delta against a per-stream rolling
-    baseline, encode wall time, trailer markers), collected in
-    bounded per-domain ring buffers and optionally streamed to a JSONL
-    audit sink, with online estimators quantifying — live, in bits per
-    frame — how much the length side channel gives away.
+    baseline, encode wall time, trailer markers), written once, as one
+    line, to a JSONL sink, with online estimators quantifying — live,
+    in bits per frame — how much the length side channel gives away.
 
-    Like Obs, the whole plane is strictly side-band: compressed output
-    is byte-identical with auditing on or off, at any [jobs], and every
-    entry point is one atomic load when disabled. *)
+    The sink is the plane's only switch: with no sink set nothing is
+    recorded.  Like Obs, the plane is strictly side-band: compressed
+    output is byte-identical with auditing on or off, at any [jobs],
+    and a stream pays one atomic load to learn that auditing is off. *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
-(** Turn frame auditing on or off (default: off).  Orthogonal to
-    [Obs.set_enabled]: the [leak.*] Obs metrics the plane feeds are
-    additionally gated on Obs being enabled, records and sinks are
-    not. *)
+(** Is a sink set?  Orthogonal to [Obs.set_enabled]: the [leak.*] Obs
+    metrics the plane feeds are additionally gated on Obs being
+    enabled, records are not. *)
+
+val set_sink : out_channel option -> unit
+(** [set_sink (Some oc)] turns auditing on: every record is written to
+    [oc] as one JSON line and flushed.  [set_sink None] (the default)
+    turns it off.  Frame streams decide when they start, so a stream
+    that began with no sink stays unaudited. *)
 
 (** {1 Audit records} *)
 
@@ -60,38 +64,11 @@ val prefix_bucket : ?n:int -> bytes -> len:int -> int
 val n_prefix_buckets : int
 (** 64. *)
 
-(** {1 Sinks and the ring} *)
-
-type sink =
-  | Null
-  | Jsonl of out_channel  (** one line per record, flushed *)
-  | Custom of (record -> unit)
-      (** called under the emission lock; must not re-enter this
-          module's recording entry points *)
-
-val set_sink : sink -> unit
-val sink : unit -> sink
-
-val set_ring_capacity : int -> unit
-(** Per-domain-shard ring capacity (default 1024 records per shard;
-    16 shards).  Resizing clears the rings. *)
-
-val ring_records : unit -> record list
-(** Everything currently held in the rings, merged across shards and
-    sorted by [(stream, seq, tag)] — the sequence order of each stream,
-    regardless of which domain recorded which frame. *)
-
-val ring_clear : unit -> unit
-
-val evicted : unit -> int
-(** Records overwritten by ring wrap-around since the last
-    {!ring_clear}. *)
-
 (** {1 Per-stream tracking} *)
 
 (** One audited frame stream: owns the rolling [clen] baseline and the
     prefix bucket.  Created by {!Zipchannel_compress.Frame} once per
-    encoder / pipelined stream when auditing is enabled. *)
+    stream while a sink is set. *)
 module Stream : sig
   type t
 
@@ -108,9 +85,9 @@ module Stream : sig
   val bucket : t -> int
 
   val on_frame : t -> seq:int -> tag:tag -> ulen:int -> clen:int -> enc_ns:int -> unit
-  (** Record one emitted frame: computes the baseline delta, appends
-      the record to the ring and the sink, feeds the [leak.audit.*]
-      Obs metrics and the global estimator.  Callers must deliver
+  (** Record one emitted frame: computes the baseline delta, writes
+      the record to the sink, feeds the [leak.audit.*] Obs metrics and
+      the global estimator.  Callers must deliver
       frames of one stream in sequence order (the frame pipeline's
       in-order [consume] guarantees this even with reordering
       workers). *)
@@ -192,4 +169,4 @@ val jsonl_of_request : request_record -> string
 
 val record_request : request_record -> unit
 (** Write the record to the sink and feed the [leak.request*] Obs
-    metrics.  No-op while disabled. *)
+    metrics.  No-op while no sink is set. *)

@@ -12,17 +12,15 @@
     [Gc.quick_stat] deltas — minor/major collections, promoted words,
     heap size, allocation rate — published as [runtime.*] gauges and
     counters through {!Obs.Metrics} (and therefore visible on a serve
-    daemon's [/metrics] endpoints), plus per-top-level-span allocation
-    attribution for the domain that started the sampler.
+    daemon's [/metrics] endpoints); those metrics are the plane's only
+    copy.
 
     Sampled span self-time shares are additionally published as
     [prof.samples] / [prof.self.<leaf-span>] counters. *)
 
 val start : ?interval_us:int -> unit -> unit
 (** Start the ticker thread (default interval 1000 µs ≈ 1 kHz) and turn
-    on {!Obs.Prof} slot publication.  Idempotent while running.  The
-    calling domain's slot is recorded as the {e anchor}: per-top-span
-    GC attribution follows whatever top-level span that slot shows. *)
+    on {!Obs.Prof} slot publication.  Idempotent while running. *)
 
 val stop : unit -> unit
 (** Stop and join the ticker, turn slot publication off.  Accumulated
@@ -31,31 +29,13 @@ val stop : unit -> unit
 val running : unit -> bool
 
 val reset : unit -> unit
-(** Zero all accumulated samples and runtime deltas (keeps the ticker
-    running if it is). *)
+(** Zero all accumulated samples and restart the runtime delta window
+    (keeps the ticker running if it is). *)
 
 val sample_once : unit -> unit
 (** Take exactly one sample of all slots plus a runtime delta, as the
     ticker would — deterministic hook for tests and for profiling
     single-shot code without a thread. Usable with the ticker stopped. *)
-
-type gc_delta = {
-  minor_collections : int;
-  major_collections : int;
-  compactions : int;
-  minor_words : float;
-  promoted_words : float;
-  heap_mb : float;  (** current major-heap size, MB (last observation) *)
-  top_heap_mb : float;
-  alloc_mb : float;  (** total allocation over the window, MB *)
-  elapsed_s : float;
-}
-
-type slice = {
-  top_span : string;  (** root component of the anchor slot's path *)
-  samples : int;
-  alloc_mb : float;  (** allocation attributed to ticks under this root *)
-}
 
 type report = {
   ticks : int;  (** sampler wakeups *)
@@ -67,15 +47,9 @@ type report = {
       (** per span name: (name, self samples, total samples), self
           descending.  Self counts ticks where the span was the leaf;
           total counts ticks where it was anywhere on the path. *)
-  gc : gc_delta;  (** cumulative since [start]/[reset] *)
-  slices : slice list;  (** per-top-span attribution, samples descending *)
 }
 
 val report : unit -> report
-
-val report_to_json : report -> string
-(** One JSON object: [{"ticks":..,"samples":..,"folded":{..},
-    "self":{name:[self,total]},"gc":{..},"slices":[..]}]. *)
 
 val folded_lines : ?prefix:string -> report -> string
 (** The folded-stack text form ([key count] lines, one per stack),

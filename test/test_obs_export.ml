@@ -229,21 +229,38 @@ let test_profile_folded () =
   Alcotest.(check int) "folded weights sum to total self" 1700
     (List.fold_left (fun acc (_, w) -> acc + w) 0 folded)
 
-(* Live collection: the Custom sink assembles the same request shape. *)
-let test_otlp_collector () =
+(* The offline path is the only one: the OTLP request converted from a
+   JSONL stream equals the request of the in-memory events it was
+   written from, attribute strings that need escaping included.  The
+   events come from a [Custom] sink and the stream is their
+   [jsonl_of_event] lines, the text the [Jsonl] sink writes. *)
+let test_otlp_of_jsonl_stream () =
   with_obs @@ fun () ->
-  let sink, drain = E.Otlp.collector () in
-  Obs.Trace.set_sink sink;
-  Obs.with_span "outer" (fun () -> Obs.with_span "inner" (fun () -> ()));
+  let events = ref [] in
+  Obs.Trace.set_sink (Obs.Trace.Custom (fun ev -> events := ev :: !events));
+  Obs.with_span "outer"
+    ~attrs:[ ("quote", "a\"b"); ("path", "c:\\d"); ("ctl", "x\n\ty\001") ]
+    (fun () -> Obs.with_span "inner" ~attrs:[ ("k", "v") ] (fun () -> ()));
   Obs.Trace.set_sink Obs.Trace.Null;
+  let events = List.rev !events in
+  let jsonl =
+    String.concat ""
+      (List.map (fun ev -> Obs.Trace.jsonl_of_event ev ^ "\n") events)
+  in
+  let parsed = E.Span_stream.of_string jsonl in
+  Alcotest.(check bool) "JSONL round-trips the events" true (parsed = events);
+  let request = E.Otlp.trace_request events in
+  Alcotest.(check string) "OTLP of the JSONL stream = OTLP of the events"
+    (Json.to_string request)
+    (Json.to_string (E.Otlp.trace_request parsed));
   let get k j = Option.get (Json.member k j) in
   let spans =
-    drain ()
+    request
     |> get "resourceSpans" |> Json.to_arr |> Option.get |> List.hd
     |> get "scopeSpans" |> Json.to_arr |> Option.get |> List.hd
     |> get "spans" |> Json.to_arr |> Option.get
   in
-  Alcotest.(check int) "two spans collected" 2 (List.length spans);
+  Alcotest.(check int) "two spans" 2 (List.length spans);
   let by_name name =
     List.find
       (fun s -> Json.to_str (get "name" s) = Some name)
@@ -251,7 +268,17 @@ let test_otlp_collector () =
   in
   Alcotest.(check (option string)) "inner's parent is outer"
     (Json.to_str (get "spanId" (by_name "outer")))
-    (Option.bind (Json.member "parentSpanId" (by_name "inner")) Json.to_str)
+    (Option.bind (Json.member "parentSpanId" (by_name "inner")) Json.to_str);
+  let attr key span =
+    List.find_map
+      (fun a ->
+        if Json.to_str (get "key" a) = Some key then
+          Json.to_str (get "stringValue" (get "value" a))
+        else None)
+      (Option.get (Json.to_arr (get "attributes" span)))
+  in
+  Alcotest.(check (option string)) "escaped attribute survives" (Some "x\n\ty\001")
+    (attr "ctl" (by_name "outer"))
 
 (* ------------------------------------------------------------------ *)
 (* Leakage scoreboard *)
@@ -656,7 +683,8 @@ let suite =
         test_profile_spans;
       Alcotest.test_case "profiler aggregation" `Quick test_profile_aggregate;
       Alcotest.test_case "profiler folded stacks" `Quick test_profile_folded;
-      Alcotest.test_case "OTLP live collector" `Quick test_otlp_collector;
+      Alcotest.test_case "OTLP trace of a JSONL stream" `Quick
+        test_otlp_of_jsonl_stream;
       Alcotest.test_case "leak scoreboard" `Quick test_leak_derive;
       Alcotest.test_case "gate classification & thresholds file" `Quick
         test_gate_classify;
