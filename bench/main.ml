@@ -76,6 +76,10 @@ let bench_cases : (string * int * (unit -> unit)) list =
         ignore (Compress.Bzip2.compress text_10k));
     ("bzip2/compress-1m-text", 1_048_576, fun () ->
         ignore (Compress.Bzip2.compress text_1m));
+    (* Text is sort-bound; on random input table training and MTF take
+       most of the time. *)
+    ("bzip2/compress-1m-random", 1_048_576, fun () ->
+        ignore (Compress.Bzip2.compress (Lazy.force random_1m)));
     ("deflate/compress-10k-text", 10_000, fun () ->
         ignore (Compress.Deflate.compress text_10k));
     ("deflate/compress-1m-text", 1_048_576, fun () ->

@@ -106,19 +106,36 @@ module Writer = struct
 
   let append t src =
     (* Append every bit of [src] (which stays usable) to [t].  With [t]
-       byte-aligned this is one block blit; otherwise each source byte
-       is spliced in O(1). *)
+       byte-aligned this is one block blit.  Otherwise the [k] pending
+       bits of [t] sit above the next 6 source bytes, read with one
+       big-endian 8-byte load inside [src]'s bytes, and 6 bytes go out
+       with one 8-byte store, whose last 2 bytes the next store
+       overwrites; the last few source bytes go one at a time. *)
     if t.nbits = 0 then begin
       ensure t src.len;
       Bigstring.blit src.data ~src_off:0 t.data ~dst_off:t.len ~len:src.len;
       t.len <- t.len + src.len
     end
-    else
-      for i = 0 to src.len - 1 do
-        add_bits_msb t
-          ~value:(Char.code (Bigstring.unsafe_get src.data i))
-          ~count:8
+    else begin
+      ensure t (src.len + 8);
+      let k = t.nbits and dst = t.data in
+      let acc = ref t.acc and pos = ref t.len and i = ref 0 in
+      while !i + 8 <= src.len do
+        let w = Bigstring.bswap64 (Bigstring.get64u src.data !i) in
+        acc := (!acc lsl 48) lor Int64.to_int (Int64.shift_right_logical w 16);
+        Bigstring.set64u dst !pos
+          (Bigstring.bswap64 (Int64.shift_left (Int64.of_int (!acc lsr k)) 16));
+        pos := !pos + 6;
+        i := !i + 6
       done;
+      t.acc <- !acc land ((1 lsl k) - 1);
+      t.len <- !pos;
+      for j = !i to src.len - 1 do
+        add_bits_msb t
+          ~value:(Char.code (Bigstring.unsafe_get src.data j))
+          ~count:8
+      done
+    end;
     if src.nbits > 0 then add_bits_msb t ~value:src.acc ~count:src.nbits
 
   let to_bytes t =

@@ -19,9 +19,22 @@ val reverse : int -> int -> int
     in 0..30: the first bit becomes the last. *)
 
 module Writer : sig
-  type t
+  type t = {
+    mutable data : Zipchannel_buf.Bigstring.t;
+    mutable len : int;
+    mutable acc : int;
+    mutable nbits : int;
+  }
+  (** [data.(0 .. len - 1)] are the whole bytes written; the [nbits]
+      (0..7) bits written after them are [acc]'s low bits, first bit
+      most significant, and [acc] has no bits above them.  {!Huffman}'s
+      symbol runs keep [acc] and [nbits] in local variables and store
+      them back. *)
 
   val create : unit -> t
+
+  val ensure : t -> int -> unit
+  (** [ensure t n] makes room for [n] more bytes past [len] in [data]. *)
 
   val add_bit : t -> bool -> unit
   (** MSB-first single bit. *)

@@ -101,23 +101,39 @@ let sort_rotations_work_sub ?arena block ~off ~len =
 let sort_rotations_work block =
   sort_rotations_work_sub block ~off:0 ~len:(Bytes.length block)
 
-(* Comparison-free rotation sort: Manber–Myers prefix doubling where each
-   round re-orders by the k-shifted previous order and a stable counting
-   sort on the rank — O(n log n), no comparator, no per-element boxing.
+(* Comparison-free rotation sort: Manber–Myers prefix doubling, where
+   each round orders the rotations by their (rank, rank+k) pairs with one
+   stable counting-sort scatter — O(n log n), no comparator, no boxing.
    Produces the same permutation as the reference (ties between identical
    rotations broken by start index).  This is the production block sorter
-   of [Bzip2.compress]; with [arena] it runs in int slots 3..6 (perm, rank
-   and their next-round copies, as [sort_rotations_work_sub] uses them)
-   plus slot 0 for the counting-sort table — [Block_sort]'s ftab, idle
-   while this sorter runs. *)
+   of [Bzip2.compress].
+
+   A rotation's rank is the position in the sorted order where its group
+   (the rotations that share its first k characters) starts, not a dense
+   class number.  Both order the groups alike, and a group start doubles
+   as the group's counting-sort head: the next round's bucket for rank
+   [r] begins at [r], so no count or prefix-sum pass is needed, only
+   [head.(r) <- r] at each group start, set while re-ranking.  The
+   scatter walks the current order and stores each rotation [v] with its
+   packed (rank, rank+k) pair, so the re-ranking pass is one sequential
+   compare of neighbouring keys, and it writes the new ranks in place.
+   [perm] and [next_perm] swap roles every round instead of being
+   copied.  Every rotation takes part in every round: at 10 kB blocks of
+   text nearly all rotations still share a group after 32 characters,
+   so skipping settled groups would not pay.
+
+   With [arena] it runs in int slots 3..6 (perm, rank, next perm and the
+   keys, as [sort_rotations_work_sub] uses them) plus slot 0 for the
+   heads — [Block_sort]'s ftab, idle while this sorter runs. *)
 let slot_next_perm = slot_tmp
-let slot_next_rank = slot_keys
-let slot_count = 0
+let slot_head = 0
 
 let sort_rotations_sub ?arena block ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length block then
     invalid_arg "Bwt.sort_rotations_sub";
   let n = len in
+  if n >= 1 lsl 31 then
+    invalid_arg "Bwt.sort_rotations_sub: block too long to pack ranks";
   if n = 0 then [||]
   else begin
     let ints slot n =
@@ -125,97 +141,84 @@ let sort_rotations_sub ?arena block ~off ~len =
       | Some a -> Arena.ints a ~slot n
       | None -> Array.make n 0
     in
-    let perm = ints slot_perm n in
+    let perm = ref (ints slot_perm n) in
     let rank = ints slot_rank n in
-    let next_perm = ints slot_next_perm n in
-    let next_rank = ints slot_next_rank n in
-    let count = ints slot_count (max 256 n) in
-    let byte i = Bytes.unsafe_get block (off + i) in
-    (* Round 0: counting sort by first byte; dense byte classes. *)
-    Array.fill count 0 256 0;
+    let next_perm = ref (ints slot_next_perm n) in
+    let keys = ints slot_keys (max 256 n) in
+    let head = ints slot_head n in
+    let byte i = Char.code (Bytes.unsafe_get block (off + i)) in
+    (* Round 0: counting sort by first byte, with [keys] as the table. *)
+    Array.fill keys 0 256 0;
     for i = 0 to n - 1 do
-      let c = Char.code (byte i) in
-      count.(c) <- count.(c) + 1
+      let c = byte i in
+      keys.(c) <- keys.(c) + 1
     done;
     let acc = ref 0 in
     for c = 0 to 255 do
-      let v = count.(c) in
-      count.(c) <- !acc;
+      let v = keys.(c) in
+      keys.(c) <- !acc;
       acc := !acc + v
     done;
+    let p = !perm in
     for i = 0 to n - 1 do
-      let c = Char.code (byte i) in
-      perm.(count.(c)) <- i;
-      count.(c) <- count.(c) + 1
+      let c = byte i in
+      p.(keys.(c)) <- i;
+      keys.(c) <- keys.(c) + 1
     done;
-    let classes = ref 1 in
-    rank.(perm.(0)) <- 0;
-    for i = 1 to n - 1 do
-      if byte perm.(i) <> byte perm.(i - 1) then incr classes;
-      rank.(perm.(i)) <- !classes - 1
+    let groups = ref 1 and start = ref 0 in
+    head.(0) <- 0;
+    rank.(p.(0)) <- 0;
+    for j = 1 to n - 1 do
+      if byte p.(j) <> byte p.(j - 1) then begin
+        incr groups;
+        start := j;
+        head.(j) <- j
+      end;
+      rank.(p.(j)) <- !start
     done;
     let k = ref 1 in
-    while !classes < n && !k < n do
-      (* Order by the second key of the pair: shifting the current order
-         left by k lists rotations sorted by chars [k, 2k). *)
+    while !groups < n && !k < n do
+      let p = !perm and q = !next_perm and k' = !k in
+      (* Shifting the current order left by k lists the rotations sorted
+         by characters [k, 2k); a stable scatter by rank into each
+         group's bucket then sorts them by the pair. *)
       for i = 0 to n - 1 do
-        let v = Array.unsafe_get perm i - !k in
-        Array.unsafe_set next_perm i (if v < 0 then v + n else v)
-      done;
-      (* Stable counting sort by the first key (current rank). *)
-      Array.fill count 0 !classes 0;
-      for i = 0 to n - 1 do
-        let r = Array.unsafe_get rank i in
-        Array.unsafe_set count r (Array.unsafe_get count r + 1)
-      done;
-      let acc = ref 0 in
-      for c = 0 to !classes - 1 do
-        let v = Array.unsafe_get count c in
-        Array.unsafe_set count c !acc;
-        acc := !acc + v
-      done;
-      for i = 0 to n - 1 do
-        let v = Array.unsafe_get next_perm i in
+        let s = Array.unsafe_get p i in
+        let v = if s < k' then s - k' + n else s - k' in
         let r = Array.unsafe_get rank v in
-        Array.unsafe_set perm (Array.unsafe_get count r) v;
-        Array.unsafe_set count r (Array.unsafe_get count r + 1)
+        let at = Array.unsafe_get head r in
+        Array.unsafe_set head r (at + 1);
+        Array.unsafe_set q at v;
+        Array.unsafe_set keys at ((r lsl 31) lor Array.unsafe_get rank s)
       done;
-      (* Re-rank by (rank, rank+k) pair equality along the new order. *)
-      next_rank.(perm.(0)) <- 0;
-      classes := 1;
-      for i = 1 to n - 1 do
-        let a = Array.unsafe_get perm i and b = Array.unsafe_get perm (i - 1) in
-        let a2 = a + !k in
-        let a2 = if a2 >= n then a2 - n else a2 in
-        let b2 = b + !k in
-        let b2 = if b2 >= n then b2 - n else b2 in
-        if
-          Array.unsafe_get rank a <> Array.unsafe_get rank b
-          || Array.unsafe_get rank a2 <> Array.unsafe_get rank b2
-        then incr classes;
-        Array.unsafe_set next_rank a (!classes - 1)
+      (* Re-rank: a new group starts wherever the pair changes. *)
+      let prev = ref (Array.unsafe_get keys 0) and start = ref 0 in
+      groups := 1;
+      head.(0) <- 0;
+      rank.(q.(0)) <- 0;
+      for j = 1 to n - 1 do
+        let key = Array.unsafe_get keys j in
+        if key <> !prev then begin
+          prev := key;
+          incr groups;
+          start := j;
+          Array.unsafe_set head j j
+        end;
+        Array.unsafe_set rank (Array.unsafe_get q j) !start
       done;
-      Array.blit next_rank 0 rank 0 n;
-      k := !k * 2
+      next_perm := p;
+      perm := q;
+      k := 2 * k'
     done;
-    (* Identical rotations (period divides n): a final stable counting sort
-       over ascending start indices orders each class by index. *)
-    if !classes < n then begin
-      Array.fill count 0 !classes 0;
+    let perm = !perm in
+    (* Identical rotations (period divides n): a final stable scatter over
+       ascending start indices orders each group by index. *)
+    if !groups < n then
       for i = 0 to n - 1 do
-        count.(rank.(i)) <- count.(rank.(i)) + 1
+        let r = rank.(i) in
+        perm.(head.(r)) <- i;
+        head.(r) <- head.(r) + 1
       done;
-      let acc = ref 0 in
-      for c = 0 to !classes - 1 do
-        let v = count.(c) in
-        count.(c) <- !acc;
-        acc := !acc + v
-      done;
-      for i = 0 to n - 1 do
-        perm.(count.(rank.(i))) <- i;
-        count.(rank.(i)) <- count.(rank.(i)) + 1
-      done
-    end;
     perm
   end
 

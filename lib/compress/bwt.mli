@@ -17,11 +17,12 @@ val sort_rotations_sub :
   ?arena:Zipchannel_buf.Arena.t -> bytes -> off:int -> len:int -> int array
 (** {!sort_rotations} of [Bytes.sub block off len] without materializing
     the slice.  With [arena], scratch tables and the returned permutation
-    live in the arena's int slots 0 and 3..6: the permutation is slot 3,
-    its physical length may exceed [len] (only the first [len] entries
-    are meaningful) and it is overwritten by the next sort using the same
-    arena.
-    @raise Invalid_argument if the slice is not inside [block]. *)
+    live in the arena's int slots 0 and 3..6: the permutation is slot 3
+    or 5 (the two swap roles every doubling round), its physical length
+    may exceed [len] (only the first [len] entries are meaningful) and it
+    is overwritten by the next sort using the same arena.
+    @raise Invalid_argument if the slice is not inside [block], or is
+    2^31 bytes or longer, whose ranks do not pack. *)
 
 val sort_rotations_work : bytes -> int array * int
 (** Also returns the number of rank comparisons performed — a

@@ -50,59 +50,99 @@ let read_u32 r =
 
 let group_count ~n_syms = (n_syms + group_size - 1) / group_size
 
+module Arena = Zipchannel_buf.Arena
+
+(* Arena int slots of the block body, beside the stages' slots 0..8 (the
+   slot table is in DESIGN.md §12).  Table [t]'s frequency, length and
+   packed code of symbol [s] sit at [t * alphabet + s] of the first
+   three. *)
+let slot_freqs = 15
+let slot_lengths = 16
+let slot_codes = 17
+let slot_lanes = 18
+let slot_selectors = 19
+let slot_scratch = 20
+
 (* Train the tables: initial assignment is round-robin over contiguous
-   chunks, then a few rounds of cheapest-table reassignment. *)
-let train_tables symbols ~n_syms =
+   chunks, then a few rounds of cheapest-table reassignment.  Returns
+   the table count, the selectors (one per group) and the lengths,
+   arena slots whose physical lengths may exceed what they hold. *)
+let train_tables arena symbols ~n_syms =
   let alphabet = Rle2.alphabet_size in
   let n_groups = n_groups_for n_syms in
   let groups = group_count ~n_syms in
-  let selectors = Array.init groups (fun g -> g * n_groups / max 1 groups) in
-  let lengths = Array.make n_groups [||] in
-  let freqs = Array.init n_groups (fun _ -> Array.make alphabet 0) in
+  let ints slot n = Arena.ints arena ~slot n in
+  let selectors = ints slot_selectors groups in
+  for g = 0 to groups - 1 do
+    selectors.(g) <- g * n_groups / max 1 groups
+  done;
+  let freqs = ints slot_freqs (n_groups * alphabet) in
+  let lengths = ints slot_lengths (n_groups * alphabet) in
+  let scratch = ints slot_scratch (Huffman.scratch_size alphabet) in
   (* One flat length table for all tables, packed per symbol as in bzip2:
      table [t]'s length of [s] sits in bits [10t, 10t + 10) of
-     [packed.(s)], and bit [t] of [missing.(s)] is set when table [t] has
-     no code for [s].  A group's cost under every table is then one sum
-     over its symbols: at most 50 lengths of at most 15 bits each, under
-     1024, so no lane carries into the next, and 6 lanes fit in 60 bits. *)
-  let packed = Array.make alphabet 0 and missing = Array.make alphabet 0 in
-  let refit () =
-    Array.iter (fun f -> Array.fill f 0 alphabet 0) freqs;
-    for g = 0 to groups - 1 do
-      let f = freqs.(selectors.(g)) in
-      for k = g * group_size to min n_syms ((g + 1) * group_size) - 1 do
-        let s = symbols.(k) in
-        f.(s) <- f.(s) + 1
-      done
+     [lanes.(s)], and bit [t] of [lanes.(alphabet + s)] is set when table
+     [t] has no code for [s].  A group's cost under every table is then
+     one sum over its symbols: at most 50 lengths of at most 15 bits
+     each, under 1024, so no lane carries into the next, and 6 lanes fit
+     in 60 bits. *)
+  let lanes = ints slot_lanes (2 * alphabet) in
+  (* Refit the tables whose bit is set in [changed]: a table whose set of
+     groups did not change has the same frequencies, hence the same
+     lengths, and keeps them. *)
+  let refit changed =
+    for t = 0 to n_groups - 1 do
+      if changed land (1 lsl t) <> 0 then
+        Array.fill freqs (t * alphabet) alphabet 0
     done;
-    Array.fill packed 0 alphabet 0;
-    Array.fill missing 0 alphabet 0;
-    Array.iteri
-      (fun t f ->
+    for g = 0 to groups - 1 do
+      let t = selectors.(g) in
+      if changed land (1 lsl t) <> 0 then begin
+        let base = t * alphabet in
+        for k = g * group_size to min n_syms ((g + 1) * group_size) - 1 do
+          let i = base + symbols.(k) in
+          freqs.(i) <- freqs.(i) + 1
+        done
+      end
+    done;
+    for t = 0 to n_groups - 1 do
+      if changed land (1 lsl t) <> 0 then begin
+        let base = t * alphabet in
         (* An unused table still needs a valid (dummy) code set. *)
-        if Array.for_all (fun c -> c = 0) f then f.(Rle2.eob) <- 1;
-        let l = Huffman.lengths_of_freqs f in
-        lengths.(t) <- l;
-        for s = 0 to alphabet - 1 do
-          if l.(s) = 0 then missing.(s) <- missing.(s) lor (1 lsl t)
-          else packed.(s) <- packed.(s) lor (l.(s) lsl (10 * t))
-        done)
-      freqs
+        let used = ref false in
+        for i = base to base + alphabet - 1 do
+          if freqs.(i) <> 0 then used := true
+        done;
+        if not !used then freqs.(base + Rle2.eob) <- 1;
+        Huffman.lengths_of_freqs_into freqs ~off:base ~len:alphabet ~scratch
+          ~lengths
+      end
+    done;
+    Array.fill lanes 0 (2 * alphabet) 0;
+    for t = 0 to n_groups - 1 do
+      for s = 0 to alphabet - 1 do
+        let l = lengths.((t * alphabet) + s) in
+        if l = 0 then lanes.(alphabet + s) <- lanes.(alphabet + s) lor (1 lsl t)
+        else lanes.(s) <- lanes.(s) lor (l lsl (10 * t))
+      done
+    done
   in
-  refit ();
+  refit ((1 lsl n_groups) - 1);
   for _ = 2 to refinement_iters do
     (* Reassign each group to its cheapest table, the first one on ties.
        A table without a code for one of the group's symbols cannot take
        it.  The group's current table always can (it was fitted to the
        group), so some table is always eligible. *)
+    let changed = ref 0 in
     for g = 0 to groups - 1 do
       let sum = ref 0 and miss = ref 0 in
       for k = g * group_size to min n_syms ((g + 1) * group_size) - 1 do
         let s = Array.unsafe_get symbols k in
-        sum := !sum + Array.unsafe_get packed s;
-        miss := !miss lor Array.unsafe_get missing s
+        sum := !sum + Array.unsafe_get lanes s;
+        miss := !miss lor Array.unsafe_get lanes (alphabet + s)
       done;
-      let best = ref selectors.(g) and best_cost = ref max_int in
+      let current = selectors.(g) in
+      let best = ref current and best_cost = ref max_int in
       for t = 0 to n_groups - 1 do
         let cost = (!sum lsr (10 * t)) land 1023 in
         if !miss land (1 lsl t) = 0 && cost < !best_cost then begin
@@ -110,26 +150,28 @@ let train_tables symbols ~n_syms =
           best := t
         end
       done;
+      if !best <> current then
+        changed := !changed lor (1 lsl current) lor (1 lsl !best);
       selectors.(g) <- !best
     done;
-    refit ()
+    refit !changed
   done;
   (n_groups, selectors, lengths)
 
 (* Selectors are MTF-coded over table indices and written in unary
    (k ones then a zero), exactly bzip2's scheme. *)
-let write_selectors w ~n_groups selectors =
+let write_selectors w ~n_groups selectors ~count =
   let order = Array.init n_groups (fun i -> i) in
-  Array.iter
-    (fun sel ->
-      let pos = ref 0 in
-      while order.(!pos) <> sel do incr pos done;
-      for _ = 1 to !pos do Bitio.Writer.add_bit w true done;
-      Bitio.Writer.add_bit w false;
-      let v = order.(!pos) in
-      Array.blit order 0 order 1 !pos;
-      order.(0) <- v)
-    selectors
+  for g = 0 to count - 1 do
+    let sel = selectors.(g) in
+    let pos = ref 0 in
+    while order.(!pos) <> sel do incr pos done;
+    for _ = 1 to !pos do Bitio.Writer.add_bit w true done;
+    Bitio.Writer.add_bit w false;
+    let v = order.(!pos) in
+    Array.blit order 0 order 1 !pos;
+    order.(0) <- v
+  done
 
 (* Explicit in-order loop: both the MTF order array and the bit reader
    are mutated per selector, and [Array.init] does not guarantee the
@@ -160,20 +202,31 @@ let h_block_bytes = Obs.Metrics.histogram "kernel.bzip2.block_bytes"
 (* Everything after the BWT/MTF/RLE2 stages — table training and the
    serialised block body — shared by the arena pipeline and the
    reference path so the two can only diverge in the stages the
-   differential tests pin. *)
-let write_block_body w ~primary ~len symbols ~n_syms =
-  let n_groups, selectors, lengths = train_tables symbols ~n_syms in
-  let codes = Array.map Huffman.canonical_codes lengths in
+   differential tests pin.  Each selector group's symbols go out in one
+   {!Huffman.write_symbols} run over the packed code table. *)
+let write_block_body w ~arena ~primary ~len symbols ~n_syms =
+  let alphabet = Rle2.alphabet_size in
+  let n_groups, selectors, lengths = train_tables arena symbols ~n_syms in
+  let groups = group_count ~n_syms in
+  let codes = Arena.ints arena ~slot:slot_codes (n_groups * alphabet) in
+  for t = 0 to n_groups - 1 do
+    Huffman.packed_codes_into lengths ~off:(t * alphabet) ~len:alphabet codes
+  done;
   Bitio.Writer.add_bits_msb w ~value:block_marker ~count:8;
   add_u32 w len;
   add_u32 w primary;
   Bitio.Writer.add_bits_msb w ~value:n_groups ~count:3;
-  Bitio.Writer.add_bits_msb w ~value:(Array.length selectors) ~count:15;
-  write_selectors w ~n_groups selectors;
-  Array.iter (fun l -> Huffman.write_lengths w l) lengths;
-  for k = 0 to n_syms - 1 do
-    let table = selectors.(k / group_size) in
-    Huffman.write_symbol w codes.(table) symbols.(k)
+  Bitio.Writer.add_bits_msb w ~value:groups ~count:15;
+  write_selectors w ~n_groups selectors ~count:groups;
+  for t = 0 to n_groups - 1 do
+    Huffman.write_lengths w lengths ~off:(t * alphabet) ~len:alphabet
+  done;
+  for g = 0 to groups - 1 do
+    let off = g * group_size in
+    Huffman.write_symbols w codes
+      ~base:(selectors.(g) * alphabet)
+      symbols ~off
+      ~len:(min group_size (n_syms - off))
   done
 
 (* One post-RLE1 block, read in place from [data.(off .. off + len - 1)].
@@ -191,7 +244,7 @@ let compress_block w ~sort ~index ~arena data ~off ~len =
   let last, primary = Bwt.transform_with_sub ~arena ~perm data ~off ~len in
   let mtf = Mtf.encode_sub ~arena last ~off:0 ~len in
   let symbols, n_syms = Rle2.encode_sub ~arena mtf ~len in
-  write_block_body w ~primary ~len symbols ~n_syms;
+  write_block_body w ~arena ~primary ~len symbols ~n_syms;
   report
 
 let check_block_size block_size =
@@ -224,7 +277,7 @@ let compress_blocks ~sort ~block_size ~jobs input =
         let len = min block_size (n - off) in
         let bw = Bitio.Writer.create () in
         let report =
-          Zipchannel_buf.Arena.with_arena (fun arena ->
+          Arena.with_arena (fun arena ->
               compress_block bw ~sort ~index ~arena data ~off ~len)
         in
         (bw, report))
@@ -286,8 +339,9 @@ let compress_ref ?(block_size = default_block_size) input =
     let perm, _ = Block_sort.block_sort ~full_block block in
     let last, primary = Bwt.transform_with ~perm block in
     let symbols = Rle2.encode (Mtf.encode last) in
-    write_block_body w ~primary ~len:(Bytes.length block) symbols
-      ~n_syms:(Array.length symbols)
+    Arena.with_arena (fun arena ->
+        write_block_body w ~arena ~primary ~len:(Bytes.length block) symbols
+          ~n_syms:(Array.length symbols))
   done;
   Bitio.Writer.add_bits_msb w ~value:end_marker ~count:8;
   Bitio.Writer.to_bytes w

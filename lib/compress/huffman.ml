@@ -1,99 +1,133 @@
 type code = { length : int; bits : int }
 
-(* The tree is built with a binary min-heap of (weight, node id) pairs
-   held in two parallel int arrays, so no pair is boxed.  The heap orders
-   by weight alone, and the order in which equal weights pop — hence which
-   of several optimal trees is built, and the code lengths every format
-   serializes — follows from the exact sequence of sift comparisons.
-   test/oracles.ml keeps a heap of boxed tuples with that sequence as the
-   reference; moving a hole instead of swapping makes the same
-   comparisons and ends in the same array. *)
-let lengths_of_freqs ?(max_length = 15) freqs =
-  let n = Array.length freqs in
-  let used = ref 0 in
-  Array.iter (fun f -> if f > 0 then incr used) freqs;
+(* The tree is built with a binary min-heap holding one packed int per
+   slot, [(weight lsl shift) lor node], so an entry is one load and no
+   pair is boxed.  The heap orders by weight alone, and the order in
+   which equal weights pop — hence which of several optimal trees is
+   built, and the code lengths every format serializes — follows from
+   the exact sequence of sift comparisons.  test/oracles.ml keeps a heap
+   of boxed tuples with that sequence as the reference; moving a hole
+   instead of swapping makes the same comparisons and ends in the same
+   array.  Every comparison shifts the node bits out first, so equal
+   weights compare equal as they did in the tuples.
+
+   The sifts are plain functions over the caller's scratch array: no
+   closure holds the heap size, so it stays in a register.  Sifting down
+   picks the lighter child with a sign mask, the left one on ties, and
+   then compares it with the entry: the same outcome as comparing the
+   left child and then the right one with the lightest so far, with no
+   branch on the children.  A sentinel of the greatest weight at
+   [heap.(size)] stands in for a missing right child. *)
+let scratch_size n = (3 * n) + 1
+
+(* Entry [e] enters at slot [i] and rises past heavier parents. *)
+let sift_up heap ~shift i e =
+  let w = e lsr shift in
+  let i = ref i in
+  while !i > 0 && Array.unsafe_get heap ((!i - 1) lsr 1) lsr shift > w do
+    let p = (!i - 1) lsr 1 in
+    Array.unsafe_set heap !i (Array.unsafe_get heap p);
+    i := p
+  done;
+  Array.unsafe_set heap !i e
+
+(* Entry [e] enters at the root of a heap of [size] and sinks below
+   lighter children. *)
+let sift_down heap ~shift size e =
+  let w = e lsr shift in
+  Array.unsafe_set heap size max_int;
+  let i = ref 0 and l = ref 1 in
+  while !l < size do
+    let l' = !l in
+    let wl = Array.unsafe_get heap l' lsr shift in
+    let d = (Array.unsafe_get heap (l' + 1) lsr shift) - wl in
+    let m = d asr 62 in
+    if wl + (d land m) < w then begin
+      let c = l' - m in
+      Array.unsafe_set heap !i (Array.unsafe_get heap c);
+      i := c;
+      l := (2 * c) + 1
+    end
+    else l := size
+  done;
+  Array.unsafe_set heap !i e
+
+let lengths_of_freqs_into ?(max_length = 15) freqs ~off ~len:n ~scratch
+    ~lengths =
+  if
+    off < 0 || n < 0
+    || off + n > Array.length freqs
+    || off + n > Array.length lengths
+  then invalid_arg "Huffman.lengths_of_freqs_into: range";
+  if Array.length scratch < scratch_size n then
+    invalid_arg "Huffman.lengths_of_freqs_into: scratch";
+  let used = ref 0 and total = ref 0 in
+  for s = off to off + n - 1 do
+    let f = freqs.(s) in
+    if f > 0 then begin
+      incr used;
+      total := !total + f
+    end
+  done;
   if !used > 1 lsl max_length then
     invalid_arg "Huffman.lengths_of_freqs: too many symbols for max_length";
-  let lengths = Array.make n 0 in
-  if !used = 0 then lengths
-  else if !used = 1 then begin
-    Array.iteri (fun s f -> if f > 0 then lengths.(s) <- 1) freqs;
-    lengths
+  Array.fill lengths off n 0;
+  if !used = 1 then begin
+    for s = off to off + n - 1 do
+      if freqs.(s) > 0 then lengths.(s) <- 1
+    done
   end
-  else begin
-    (* At most [used] entries are ever live: each merge pops two and
-       pushes one. *)
-    let weight = Array.make !used 0 and node = Array.make !used 0 in
-    (* Entry (w, v) enters at slot [i] and rises past heavier parents. *)
-    let sift_up i w v =
-      let i = ref i in
-      while !i > 0 && weight.((!i - 1) / 2) > w do
-        let p = (!i - 1) / 2 in
-        weight.(!i) <- weight.(p);
-        node.(!i) <- node.(p);
-        i := p
-      done;
-      weight.(!i) <- w;
-      node.(!i) <- v
-    in
-    (* Entry (w, v) enters at the root of a heap of [size] and sinks below
-       lighter children, the left one first on ties. *)
-    let sift_down size w v =
-      let i = ref 0 and continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i and least = ref w in
-        if l < size && weight.(l) < !least then begin
-          smallest := l;
-          least := weight.(l)
-        end;
-        if r < size && weight.(r) < !least then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          weight.(!i) <- weight.(!smallest);
-          node.(!i) <- node.(!smallest);
-          i := !smallest
-        end
-      done;
-      weight.(!i) <- w;
-      node.(!i) <- v
-    in
+  else if !used > 1 then begin
+    (* Node ids stay below [2n]. *)
+    let shift = ref 1 in
+    while 1 lsl !shift < 2 * n do incr shift done;
+    let shift = !shift in
+    if !total >= 1 lsl (62 - shift) then
+      invalid_arg "Huffman.lengths_of_freqs: frequencies too large";
+    let node_mask = (1 lsl shift) - 1 in
+    (* The heap is [scratch.(0 .. used)]: at most [used] entries are ever
+       live (each merge pops two and pushes one), plus the sentinel.
+       Node [v]'s parent is [scratch.(tree + v)]. *)
+    let heap = scratch and tree = n + 1 in
     let size = ref 0 in
     for s = 0 to n - 1 do
-      if freqs.(s) > 0 then begin
-        sift_up !size freqs.(s) s;
+      let f = freqs.(off + s) in
+      if f > 0 then begin
+        sift_up heap ~shift !size ((f lsl shift) lor s);
         incr size
       end
     done;
-    (* Internal tree nodes are numbered from [n]; [parent] links each node
-       to its parent, which always has a larger number. *)
-    let parent = Array.make (2 * n) (-1) in
+    (* Internal tree nodes are numbered from [n]; each node's parent has
+       a larger number. *)
+    Array.fill scratch tree (2 * n) (-1);
     let next = ref n in
     while !size > 1 do
-      let w1 = weight.(0) and n1 = node.(0) in
+      let e1 = heap.(0) in
       decr size;
-      sift_down !size weight.(!size) node.(!size);
-      let w2 = weight.(0) and n2 = node.(0) in
+      sift_down heap ~shift !size heap.(!size);
+      let e2 = heap.(0) in
       decr size;
-      sift_down !size weight.(!size) node.(!size);
-      parent.(n1) <- !next;
-      parent.(n2) <- !next;
-      sift_up !size (w1 + w2) !next;
+      sift_down heap ~shift !size heap.(!size);
+      scratch.(tree + (e1 land node_mask)) <- !next;
+      scratch.(tree + (e2 land node_mask)) <- !next;
+      sift_up heap ~shift !size
+        ((((e1 lsr shift) + (e2 lsr shift)) lsl shift) lor !next);
       incr size;
       incr next
     done;
-    (* Depths top-down: a node's parent is numbered above it, so walking
-       the numbers downwards from the root meets every parent first. *)
-    let depth = Array.make !next 0 in
-    let deepest = ref 0 in
-    for v = !next - 2 downto 0 do
-      let p = parent.(v) in
-      if p >= 0 then depth.(v) <- depth.(p) + 1
+    (* Depths top-down, in place of the parent links: a node's parent is
+       numbered above it, so walking the numbers downwards meets every
+       parent first, and the root (no parent) has depth 0. *)
+    for v = !next - 1 downto 0 do
+      let p = scratch.(tree + v) in
+      scratch.(tree + v) <- (if p >= 0 then scratch.(tree + p) + 1 else 0)
     done;
+    let deepest = ref 0 in
     for s = 0 to n - 1 do
-      if freqs.(s) > 0 then begin
-        lengths.(s) <- depth.(s);
-        if depth.(s) > !deepest then deepest := depth.(s)
+      if freqs.(off + s) > 0 then begin
+        let d = scratch.(tree + s) in
+        lengths.(off + s) <- d;
+        if d > !deepest then deepest := d
       end
     done;
     (* Within [max_length] the Kraft sum is already exact and the re-deal
@@ -103,11 +137,13 @@ let lengths_of_freqs ?(max_length = 15) freqs =
          restore the Kraft equality by demoting codes from shorter
          levels. *)
       let bl_count = Array.make (max_length + 1) 0 in
-      Array.iter
-        (fun l -> if l > 0 then
-            let l = min l max_length in
-            bl_count.(l) <- bl_count.(l) + 1)
-        lengths;
+      for s = off to off + n - 1 do
+        let l = lengths.(s) in
+        if l > 0 then begin
+          let l = min l max_length in
+          bl_count.(l) <- bl_count.(l) + 1
+        end
+      done;
       let kraft = ref 0 in
       for l = 1 to max_length do
         kraft := !kraft + (bl_count.(l) lsl (max_length - l))
@@ -128,7 +164,7 @@ let lengths_of_freqs ?(max_length = 15) freqs =
          shortest-first. *)
       let syms = Array.make !used 0 in
       let k = ref 0 in
-      for s = 0 to n - 1 do
+      for s = off to off + n - 1 do
         if freqs.(s) > 0 then begin
           syms.(!k) <- s;
           incr k
@@ -145,46 +181,67 @@ let lengths_of_freqs ?(max_length = 15) freqs =
           incr idx
         done
       done
-    end;
-    lengths
+    end
   end
+
+let lengths_of_freqs ?max_length freqs =
+  let n = Array.length freqs in
+  let lengths = Array.make n 0 in
+  lengths_of_freqs_into ?max_length freqs ~off:0 ~len:n
+    ~scratch:(Array.make (scratch_size n) 0)
+    ~lengths;
+  lengths
+
+(* Canonical codes of [lengths.(off .. off + len - 1)], packed as
+   [(bits lsl 4) lor length] into [codes.(off .. off + len - 1)], 0 for
+   a symbol without a code. *)
+let packed_codes_into lengths ~off ~len codes =
+  if off < 0 || len < 0 || off + len > Array.length lengths
+     || off + len > Array.length codes
+  then invalid_arg "Huffman.packed_codes_into: range";
+  let bl_count = Array.make 17 0 in
+  for s = off to off + len - 1 do
+    let l = lengths.(s) in
+    if l > 15 then invalid_arg "Huffman.canonical_codes: length above 15";
+    if l > 0 then bl_count.(l) <- bl_count.(l) + 1
+  done;
+  (* [bl_count.(l)] becomes the next code of length [l]. *)
+  let code = ref 0 in
+  for l = 1 to 16 do
+    let count = bl_count.(l) in
+    bl_count.(l) <- !code;
+    code := (!code + count) lsl 1
+  done;
+  (* Oversubscription check: after assigning all codes of length l the
+     running code must fit in l bits. *)
+  for s = off to off + len - 1 do
+    let l = lengths.(s) in
+    if l > 0 then begin
+      let bits = bl_count.(l) in
+      if bits lsr l <> 0 then
+        invalid_arg "Huffman.canonical_codes: oversubscribed lengths";
+      codes.(s) <- (bits lsl 4) lor l;
+      bl_count.(l) <- bits + 1
+    end
+    else codes.(s) <- 0
+  done
 
 let canonical_codes lengths =
   let n = Array.length lengths in
-  let max_len = Array.fold_left max 0 lengths in
-  let codes = Array.make n { length = 0; bits = 0 } in
-  if max_len = 0 then codes
-  else begin
-    let bl_count = Array.make (max_len + 1) 0 in
-    Array.iter (fun l -> if l > 0 then bl_count.(l) <- bl_count.(l) + 1) lengths;
-    let next_code = Array.make (max_len + 2) 0 in
-    let code = ref 0 in
-    for l = 1 to max_len do
-      code := (!code + bl_count.(l - 1)) lsl 1;
-      next_code.(l) <- !code
-    done;
-    (* Oversubscription check: after assigning all codes of length l the
-       running code must fit in l bits. *)
-    for s = 0 to n - 1 do
-      let l = lengths.(s) in
-      if l > 0 then begin
-        let bits = next_code.(l) in
-        if bits lsr l <> 0 then
-          invalid_arg "Huffman.canonical_codes: oversubscribed lengths";
-        codes.(s) <- { length = l; bits };
-        next_code.(l) <- bits + 1
-      end
-    done;
-    codes
-  end
+  let packed = Array.make n 0 in
+  packed_codes_into lengths ~off:0 ~len:n packed;
+  Array.map (fun c -> { length = c land 15; bits = c lsr 4 }) packed
 
-let write_lengths w lengths =
-  Bitio.Writer.add_bits_msb w ~value:(Array.length lengths) ~count:16;
-  Array.iter
-    (fun l ->
-      if l < 0 || l > 15 then invalid_arg "Huffman.write_lengths: length";
-      Bitio.Writer.add_bits_msb w ~value:l ~count:4)
-    lengths
+let write_lengths ?(off = 0) ?len w lengths =
+  let len = match len with Some n -> n | None -> Array.length lengths - off in
+  if off < 0 || len < 0 || off + len > Array.length lengths then
+    invalid_arg "Huffman.write_lengths: range";
+  Bitio.Writer.add_bits_msb w ~value:len ~count:16;
+  for s = off to off + len - 1 do
+    let l = lengths.(s) in
+    if l < 0 || l > 15 then invalid_arg "Huffman.write_lengths: length";
+    Bitio.Writer.add_bits_msb w ~value:l ~count:4
+  done
 
 (* Explicit in-order loop: [Array.init] does not guarantee the order it
    applies the closure in, and each application advances the bit reader. *)
@@ -196,10 +253,57 @@ let read_lengths r =
   done;
   lengths
 
+let no_code = "Huffman.write_symbol: symbol has no code"
+
 let write_symbol w codes sym =
   let c = codes.(sym) in
-  if c.length = 0 then invalid_arg "Huffman.write_symbol: symbol has no code";
+  if c.length = 0 then invalid_arg no_code;
   Bitio.Writer.add_bits_msb w ~value:c.bits ~count:c.length
+
+module Bigstring = Zipchannel_buf.Bigstring
+
+(* {!write_symbol} for [symbols.(off .. off + len - 1)], with the
+   writer's bit buffer in local variables: no call per symbol.  [acc]'s
+   low [nbits] bits are pending, first bit most significant; at 48 or
+   more, the top 48 of them go out with one big-endian 8-byte store
+   whose last 2 bytes the next store overwrites.  Each code has at most
+   15 bits, so [nbits] stays below 63 and the output below [2 len + 1]
+   bytes.  A symbol without a code stops the run after the symbols
+   before it are written, as {!write_symbol} fails. *)
+let write_symbols (w : Bitio.Writer.t) codes ~base symbols ~off ~len =
+  if off < 0 || len < 0 || off + len > Array.length symbols then
+    invalid_arg "Huffman.write_symbols: range";
+  Bitio.Writer.ensure w ((2 * len) + 8);
+  let data = w.data in
+  let acc = ref w.acc and nbits = ref w.nbits and pos = ref w.len in
+  let k = ref off and stop = ref (off + len) in
+  while !k < !stop do
+    let c = codes.(base + Array.unsafe_get symbols !k) in
+    let l = c land 15 in
+    if l = 0 then stop := !k
+    else begin
+      acc := (!acc lsl l) lor (c lsr 4);
+      nbits := !nbits + l;
+      if !nbits >= 48 then begin
+        nbits := !nbits - 48;
+        Bigstring.set64u data !pos
+          (Bigstring.bswap64
+             (Int64.shift_left (Int64.of_int (!acc lsr !nbits)) 16));
+        pos := !pos + 6
+      end;
+      incr k
+    end
+  done;
+  while !nbits >= 8 do
+    nbits := !nbits - 8;
+    Bigstring.unsafe_set data !pos
+      (Char.unsafe_chr ((!acc lsr !nbits) land 0xff));
+    incr pos
+  done;
+  w.len <- !pos;
+  w.nbits <- !nbits;
+  w.acc <- !acc land ((1 lsl !nbits) - 1);
+  if !k < off + len then invalid_arg no_code
 
 (* Table-driven decoding in the style of zlib's inflate_fast.  A lookup
    peeks [max_len] bits, zero-padded past the end of the stream, and
@@ -348,8 +452,6 @@ let[@inline] read_symbol r d =
   end;
   Bitio.Reader.skip r len;
   e lsr 5
-
-module Bigstring = Zipchannel_buf.Bigstring
 
 (* {!read_symbol} for up to [count] symbols, stored from [dst.(at)],
    with the bit buffer in local variables as zlib's inflate_fast keeps

@@ -13,14 +13,46 @@ val lengths_of_freqs : ?max_length:int -> int array -> int array
     A lone used symbol gets length 1.  @raise Invalid_argument if more than
     [2^max_length] symbols are in use. *)
 
+val scratch_size : int -> int
+(** [scratch_size n] ints of scratch let {!lengths_of_freqs_into} build
+    the code of an [n]-symbol alphabet. *)
+
+val lengths_of_freqs_into :
+  ?max_length:int ->
+  int array ->
+  off:int ->
+  len:int ->
+  scratch:int array ->
+  lengths:int array ->
+  unit
+(** [lengths_of_freqs_into freqs ~off ~len ~scratch ~lengths] writes
+    {!lengths_of_freqs} of [Array.sub freqs off len] into
+    [lengths.(off .. off + len - 1)], with [scratch] (at least
+    [scratch_size len] ints) as its heap and tree, and allocates
+    nothing when no length exceeds [max_length].
+    @raise Invalid_argument as {!lengths_of_freqs} does, on a range
+    outside [freqs] or [lengths], on a short [scratch], and when the
+    frequencies sum to [2^(62 - b)] or more, where [2^b >= 2 len]. *)
+
 val canonical_codes : int array -> code array
 (** Canonical code assignment from lengths: shorter codes first, ties by
     symbol index.  Length-0 symbols get [{length = 0; bits = 0}].
-    @raise Invalid_argument if the lengths oversubscribe the code space. *)
+    @raise Invalid_argument if the lengths oversubscribe the code space
+    or one is above 15. *)
 
-val write_lengths : Bitio.Writer.t -> int array -> unit
-(** Serialize a length array (values 0..15, 4 bits each) preceded by the
-    16-bit symbol count. *)
+val packed_codes_into :
+  int array -> off:int -> len:int -> int array -> unit
+(** [packed_codes_into lengths ~off ~len codes] writes the
+    {!canonical_codes} of [lengths.(off .. off + len - 1)] into
+    [codes.(off .. off + len - 1)], each packed as
+    [(bits lsl 4) lor length], and 0 for a symbol without a code.
+    @raise Invalid_argument on a range outside either array, a length
+    above 15, or oversubscribed lengths. *)
+
+val write_lengths : ?off:int -> ?len:int -> Bitio.Writer.t -> int array -> unit
+(** Serialize [lengths.(off .. off + len - 1)] (values 0..15, 4 bits
+    each; by default the whole array) preceded by the 16-bit symbol
+    count. *)
 
 val read_lengths : Bitio.Reader.t -> int array
 (** Reads the 16-bit count then that many 4-bit lengths, in stream
@@ -30,6 +62,21 @@ val read_lengths : Bitio.Reader.t -> int array
 
 val write_symbol : Bitio.Writer.t -> code array -> int -> unit
 (** @raise Invalid_argument when the symbol has no code. *)
+
+val write_symbols :
+  Bitio.Writer.t ->
+  int array ->
+  base:int ->
+  int array ->
+  off:int ->
+  len:int ->
+  unit
+(** [write_symbols w codes ~base symbols ~off ~len] writes each of
+    [symbols.(off .. off + len - 1)] with the code at
+    [codes.(base + symbol)], packed as {!packed_codes_into} packs them:
+    the bits of as many {!write_symbol} calls, with no call per symbol.
+    @raise Invalid_argument when a symbol has no code, after writing the
+    symbols before it. *)
 
 type decoder
 (** A two-level lookup table over the canonical codes of a length array:

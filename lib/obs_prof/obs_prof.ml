@@ -28,7 +28,8 @@ type state = {
   mutable ticks : int;
   mutable total_samples : int;
   mutable last_stat : Gc.stat;
-  mutable last_ns : int;
+  mutable gc_stat : Gc.stat; (* at the last tick that saw a collection *)
+  mutable gc_ns : int;
 }
 
 let state =
@@ -39,8 +40,16 @@ let state =
     ticks = 0;
     total_samples = 0;
     last_stat = Gc.quick_stat ();
-    last_ns = 0;
+    gc_stat = Gc.quick_stat ();
+    gc_ns = 0;
   }
+
+(* Windows of the runtime plane start here: at [reset] and [start]. *)
+let mark_window_start () =
+  let st = Gc.quick_stat () and now = Obs.now_ns () in
+  state.last_stat <- st;
+  state.gc_stat <- st;
+  state.gc_ns <- now
 
 let self_counter name =
   match Hashtbl.find_opt state.self_counters name with
@@ -83,9 +92,6 @@ let tick () =
   let prev = state.last_stat in
   let dminor_w = st.Gc.minor_words -. prev.Gc.minor_words in
   let dpromoted = st.Gc.promoted_words -. prev.Gc.promoted_words in
-  let alloc_w =
-    dminor_w +. st.Gc.major_words -. prev.Gc.major_words -. dpromoted
-  in
   Obs.Metrics.add m_minor (st.Gc.minor_collections - prev.Gc.minor_collections);
   Obs.Metrics.add m_major (st.Gc.major_collections - prev.Gc.major_collections);
   Obs.Metrics.add m_compact (st.Gc.compactions - prev.Gc.compactions);
@@ -94,11 +100,23 @@ let tick () =
   Obs.Metrics.set_gauge g_heap (mb_of_words (float_of_int st.Gc.heap_words));
   Obs.Metrics.set_gauge g_top_heap
     (mb_of_words (float_of_int st.Gc.top_heap_words));
-  let dt_s = float_of_int (now - state.last_ns) /. 1e9 in
-  if dt_s > 0. then
-    Obs.Metrics.set_gauge g_alloc_rate (mb_of_words alloc_w /. dt_s);
+  (* Minor-heap words reach [Gc.quick_stat] only at a collection, so a
+     window without one reads no allocation and the window after one
+     reads it all.  The rate is taken over the span between the last two
+     ticks that saw a collection, and held in between. *)
+  let base = state.gc_stat in
+  if st.Gc.minor_collections > base.Gc.minor_collections then begin
+    let alloc_w =
+      st.Gc.minor_words -. base.Gc.minor_words +. st.Gc.major_words
+      -. base.Gc.major_words -. st.Gc.promoted_words +. base.Gc.promoted_words
+    in
+    let dt_s = float_of_int (now - state.gc_ns) /. 1e9 in
+    if dt_s > 0. then
+      Obs.Metrics.set_gauge g_alloc_rate (mb_of_words alloc_w /. dt_s);
+    state.gc_stat <- st;
+    state.gc_ns <- now
+  end;
   state.last_stat <- st;
-  state.last_ns <- now;
   Mutex.unlock state.mu
 
 let sample_once () = tick ()
@@ -108,8 +126,7 @@ let reset () =
   Hashtbl.reset state.folded;
   state.ticks <- 0;
   state.total_samples <- 0;
-  state.last_stat <- Gc.quick_stat ();
-  state.last_ns <- Obs.now_ns ();
+  mark_window_start ();
   Mutex.unlock state.mu
 
 (* Ticker lifecycle.  The ticker runs in its own {e domain}, not a
@@ -133,8 +150,7 @@ let loop interval_s () =
 let start ?(interval_us = 1000) () =
   Mutex.lock lifecycle_mu;
   (if not (Atomic.get run_flag) then begin
-     state.last_stat <- Gc.quick_stat ();
-     state.last_ns <- Obs.now_ns ();
+     mark_window_start ();
      Obs.Prof.set_publishing true;
      Atomic.set run_flag true;
      let interval_s = float_of_int (max 1 interval_us) /. 1e6 in

@@ -226,6 +226,28 @@ module Mtf_ref = struct
     out
 end
 
+(* [Rle1.encode] as it was: one run at a time through a [Buffer]. *)
+module Rle1_ref = struct
+  let encode input =
+    let n = Bytes.length input in
+    let out = Buffer.create n in
+    let i = ref 0 in
+    while !i < n do
+      let c = Bytes.get input !i in
+      let run = ref 1 in
+      while !i + !run < n && !run < 255 && Bytes.get input (!i + !run) = c do
+        incr run
+      done;
+      if !run >= 4 then begin
+        for _ = 1 to 4 do Buffer.add_char out c done;
+        Buffer.add_char out (Char.chr (!run - 4))
+      end
+      else for _ = 1 to !run do Buffer.add_char out c done;
+      i := !i + !run
+    done;
+    Buffer.to_bytes out
+end
+
 (* [Bwt.sort_rotations_work] as it was: prefix doubling with a
    tuple-keyed [Array.sort], the executable specification of both the
    permutation and the attack-visible work count. *)

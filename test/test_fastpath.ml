@@ -192,19 +192,36 @@ let qcheck_bwt_fast_matches_reference_low_alphabet =
     QCheck.(string_gen_of_size Gen.(0 -- 400) (Gen.oneofl [ 'a'; 'b'; 'c' ]))
     bwt_agrees
 
+(* The short strings are periodic.  The 10,000-byte ones need many
+   doubling rounds: the paper's Fig. 8 files at every repetition level,
+   a period-4 string, whose rotations repeat, and a period-3 one, whose
+   rotations do not (3 does not divide 10,000). *)
 let test_bwt_periodic_inputs () =
+  let prng = Prng.create ~seed:0xB075 () in
+  let periodic unit = String.init 10_000 (fun i -> unit.[i mod String.length unit]) in
   List.iter
-    (fun s ->
-      Alcotest.(check bool) (Printf.sprintf "agrees on %S" s) true (bwt_agrees s))
-    [
-      "";
-      "a";
-      "aa";
-      "abab";
-      "abcabcabc";
-      String.make 257 'x';
-      String.concat "" (List.init 64 (fun _ -> "na"));
-    ]
+    (fun (label, s) ->
+      Alcotest.(check bool) ("agrees on " ^ label) true (bwt_agrees s))
+    (List.map
+       (fun s -> (Printf.sprintf "%S" s, s))
+       [
+         "";
+         "a";
+         "aa";
+         "abab";
+         "abcabcabc";
+         String.make 257 'x';
+         String.concat "" (List.init 64 (fun _ -> "na"));
+       ]
+    @ List.map
+        (fun level ->
+          ( Printf.sprintf "a 10,000-byte file at level %d" level,
+            Lipsum.repetitive_file prng ~level ~size:10_000 ))
+        [ 1; 2; 3; 4; 5 ]
+    @ [
+        ("10,000 bytes of period 4", periodic "abcd");
+        ("10,000 bytes of period 3", periodic "abc");
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* LZ77 on large inputs. *)

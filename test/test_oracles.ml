@@ -192,8 +192,18 @@ let qcheck_lengths_of_freqs =
     (fun (max_length, freqs) ->
       let used = Array.fold_left (fun a f -> if f > 0 then a + 1 else a) 0 freqs in
       QCheck.assume (used <= 1 lsl max_length);
-      Huffman.lengths_of_freqs ~max_length freqs
-      = Oracles.Huffman_ref.lengths_of_freqs ~max_length freqs)
+      let expected = Oracles.Huffman_ref.lengths_of_freqs ~max_length freqs in
+      (* The in-place variant at an offset into wider tables, with stale
+         scratch, writes only its own range. *)
+      let n = Array.length freqs and off = 3 in
+      let wide = Array.make (n + 6) 7 and lengths = Array.make (n + 6) 99 in
+      Array.blit freqs 0 wide off n;
+      let scratch = Array.make (Huffman.scratch_size n) (-5) in
+      Huffman.lengths_of_freqs_into ~max_length wide ~off ~len:n ~scratch ~lengths;
+      Huffman.lengths_of_freqs ~max_length freqs = expected
+      && Array.sub lengths off n = expected
+      && Array.sub lengths 0 off = [| 99; 99; 99 |]
+      && Array.sub lengths (off + n) 3 = [| 99; 99; 99 |])
 
 (* Fibonacci weights build the deepest possible tree: [k] symbols reach
    depth [k - 1], so a small [max_length] forces the overflow repair. *)
@@ -402,6 +412,78 @@ let qcheck_mtf_decode =
     (fun symbols ->
       Bytes.equal (Mtf.decode symbols) (Oracles.Mtf_ref.decode symbols))
 
+let qcheck_rle1_encode =
+  QCheck.Test.make ~name:"Rle1.encode = Buffer oracle" ~count:300
+    QCheck.(
+      oneof
+        [
+          string_of_size Gen.(0 -- 2000);
+          (* Runs of every length around 4 and 255, of a few bytes. *)
+          map
+            (fun runs ->
+              String.concat ""
+                (List.map (fun (c, len) -> String.make len c) runs))
+            (small_list
+               (pair
+                  (make (Gen.oneofl [ 'a'; 'b'; '\000' ]))
+                  (make
+                     Gen.(
+                       frequency
+                         [ (3, 1 -- 6); (1, 250 -- 262); (1, 500 -- 520) ]))));
+        ])
+    (fun s ->
+      let b = Bytes.of_string s in
+      Bytes.equal (Rle1.encode b) (Oracles.Rle1_ref.encode b))
+
+(* The packed code table and the symbol-run writer write the bits of
+   [canonical_codes] and one [write_symbol] per symbol, from any bit
+   position of the writer; a symbol without a code stops both with the
+   same error after the same bits. *)
+let qcheck_symbol_writer =
+  QCheck.Test.make ~name:"write_symbols = write_symbol per symbol" ~count:300
+    QCheck.(
+      triple (int_bound 7)
+        (array_of_size Gen.(2 -- 300) (make Gen.(frequency [ (1, return 0); (3, 1 -- 1000) ])))
+        (small_list (int_bound 1_000_000)))
+    (fun (lead, freqs, picks) ->
+      let n = Array.length freqs in
+      let lengths = Huffman.lengths_of_freqs freqs in
+      let coded = List.filter (fun s -> lengths.(s) > 0) (List.init n Fun.id) in
+      QCheck.assume (coded <> []);
+      let coded = Array.of_list coded in
+      let symbols =
+        Array.of_list (List.map (fun p -> coded.(p mod Array.length coded)) picks)
+      in
+      let off = 2 and base = 5 in
+      let packed = Array.make (base + n) (-1) in
+      Huffman.packed_codes_into (Array.append (Array.make base 0) lengths)
+        ~off:base ~len:n packed;
+      let one = Bitio.Writer.create () and run = Bitio.Writer.create () in
+      List.iter
+        (fun w -> Bitio.Writer.add_bits_msb w ~value:0 ~count:lead)
+        [ one; run ];
+      let symbols =
+        match List.find_opt (fun s -> lengths.(s) = 0) (List.init n Fun.id) with
+        | Some s -> Array.append symbols [| s |]
+        | None -> symbols
+      in
+      let outcome f =
+        match f () with () -> "ok" | exception Invalid_argument e -> e
+      in
+      let codes = Huffman.canonical_codes lengths in
+      let one_result =
+        outcome (fun () -> Array.iter (Huffman.write_symbol one codes) symbols)
+      in
+      let run_result =
+        outcome (fun () ->
+            Huffman.write_symbols run packed ~base
+              (Array.append [| 0; 0 |] symbols)
+              ~off ~len:(Array.length symbols))
+      in
+      one_result = run_result
+      && Bytes.equal (Bitio.Writer.to_bytes one) (Bitio.Writer.to_bytes run)
+      && Bitio.Writer.bit_length one = Bitio.Writer.bit_length run)
+
 let suite =
   ( "oracles",
     [
@@ -419,4 +501,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_mtf_decode;
       QCheck_alcotest.to_alcotest qcheck_decode_table;
       QCheck_alcotest.to_alcotest qcheck_symbol_runs;
+      QCheck_alcotest.to_alcotest qcheck_rle1_encode;
+      QCheck_alcotest.to_alcotest qcheck_symbol_writer;
     ] )
